@@ -34,7 +34,6 @@ from .trees import (
     count_trees,
     enumerate_trees,
     iter_encoded_trees,
-    iter_trees,
     tree_sum,
     tree_weight,
     validate_tree,
@@ -77,7 +76,6 @@ __all__ = [
     "DecoratedTree",
     "canonical_encoding",
     "enumerate_trees",
-    "iter_trees",
     "iter_encoded_trees",
     "count_trees",
     "tree_sum",

@@ -5,7 +5,8 @@ trees, print the integral table, print Bernoulli numbers, and run the exact
 verification checks. Values print as reduced fractions; pass ``--decimal D``
 where supported for a correctly rounded D-digit approximation, marked with a
 leading ``~``. Exit codes: 0 on success or all checks passing, 1 on a
-verification failure, 2 on a usage error.
+verification failure, 2 on a usage error or on a ``trees enumerate`` input
+with more than ``ENUMERATION_LIMIT`` trees.
 """
 
 from __future__ import annotations
@@ -26,18 +27,20 @@ from .cutjoin import (
 )
 from .exact_arith import bernoulli, format_rational
 from .hodge import hodge_integral, hodge_table
-from .trees import canonical_encoding, enumerate_trees, tree_sum, tree_weight
-from .verify import (
-    check_bernoulli_identity,
-    check_choice_independence,
-    check_genus0,
-    check_oracle_agreement,
-    check_tree_identity,
+from .trees import (
+    canonical_encoding,
+    count_trees,
+    enumerate_trees,
+    tree_sum,
+    tree_weight,
 )
+from .verify import CHECKS
 
 __all__ = ["main"]
 
-CHECK_NAMES = ("tree-identity", "bernoulli", "genus0", "oracle", "independence")
+# trees enumerate holds every tree in memory, about 0.7 KB each; this admits
+# (0, 8) with 1,587,600 trees and refuses (2, 7) with 3,016,440.
+ENUMERATION_LIMIT = 2_000_000
 
 
 def _weights(text: str) -> tuple[int, ...]:
@@ -110,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run exact consistency checks")
     p_verify.add_argument(
-        "--check", choices=CHECK_NAMES + ("all",), required=True
+        "--check", choices=(*CHECKS, "all"), required=True
     )
     p_verify.add_argument("--max-g", dest="max_g", type=_positive, default=None)
     p_verify.add_argument("--max-n", dest="max_n", type=_positive, default=None)
@@ -138,19 +141,12 @@ def _with_cache(args, compute) -> Fraction:
 
 
 def _run_verify(args) -> int:
-    selected = CHECK_NAMES if args.check == "all" else (args.check,)
+    selected = CHECKS if args.check == "all" else (args.check,)
     reports = []
     for name in selected:
-        if name == "tree-identity":
-            reports.append(check_tree_identity(args.max_g or 3, args.max_n or 5))
-        elif name == "bernoulli":
-            reports.append(check_bernoulli_identity(args.max_g or 3, args.max_n or 3))
-        elif name == "genus0":
-            reports.append(check_genus0(args.max_n or 9))
-        elif name == "oracle":
-            reports.append(check_oracle_agreement(args.max_g or 6))
-        elif name == "independence":
-            reports.append(check_choice_independence(args.max_g or 3))
+        check, genus_param, leaf_param = CHECKS[name]
+        given = zip((genus_param, leaf_param), (args.max_g, args.max_n))
+        reports.append(check(**{p: v for p, v in given if p and v is not None}))
     if args.format == "json":
         payload = [r.to_json_obj() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload))
@@ -164,6 +160,12 @@ def _run_trees(args) -> int:
     if args.trees_command == "sum":
         print(_value_text(tree_sum(args.g, args.n), args.decimal))
         return 0
+    count = count_trees(args.g, args.n)
+    if count > ENUMERATION_LIMIT:
+        raise ValueError(
+            f"g={args.g}, n={args.n} has {count} trees,"
+            f" more than the enumeration limit of {ENUMERATION_LIMIT}"
+        )
     listed = enumerate_trees(args.g, args.n)
     rows = [
         (canonical_encoding(t), format_rational(tree_weight(t))) for t in listed

@@ -173,16 +173,22 @@ def _evaluate(key: CycleKey, cache: dict[CycleKey, Fraction]) -> Fraction:
 
 
 def save_cache(cache: dict[CycleKey, Fraction], path: str | os.PathLike) -> None:
-    """Write the memo as sorted tab-separated lines: genus, index, weights, value."""
-    lines = []
-    for key in sorted(cache):
-        weights_text = ",".join(str(w) for w in key.weights)
-        lines.append(
-            f"{key.genus}\t{key.lam}\t{weights_text}\t{format_rational(cache[key])}"
-        )
-    with open(path, "w", encoding="ascii") as handle:
-        for line in lines:
-            handle.write(line + "\n")
+    """Write the memo as sorted tab-separated lines: genus, index, weights, value.
+
+    The lines go to a temporary file next to ``path`` that then replaces it
+    in one step, so a save that fails part way leaves any old file whole.
+    """
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="ascii") as handle:
+            for key in sorted(cache):
+                weights_text = ",".join(str(w) for w in key.weights)
+                value_text = format_rational(cache[key])
+                handle.write(f"{key.genus}\t{key.lam}\t{weights_text}\t{value_text}\n")
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):
+            os.remove(temporary)
 
 
 def load_cache(path: str | os.PathLike) -> dict[CycleKey, Fraction]:

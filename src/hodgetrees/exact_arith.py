@@ -23,7 +23,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Canonical text: optional sign, no leading zeros, denominator present only
 # when it exceeds 1. "2/4", "1/0", "-0", "+1" and "01" are all rejected.
@@ -51,8 +50,7 @@ class TruncatedSeries:
     Coefficients are exact rationals and instances are immutable after
     construction. Binary operations insist on equal order bounds: silently
     mixing truncation orders would make "exact modulo t^N" meaningless.
-    Reciprocals need a nonzero constant term, ``log`` a constant term of 1,
-    ``exp`` a constant term of 0.
+    Reciprocals need a nonzero constant term, ``log`` a constant term of 1.
     """
 
     __slots__ = ("order_bound", "coefficients")
@@ -70,24 +68,12 @@ class TruncatedSeries:
         self.order_bound = order_bound
         self.coefficients = coeffs
 
-    @classmethod
-    def zero(cls, order_bound: int) -> "TruncatedSeries":
-        return cls((), order_bound)
-
-    @classmethod
-    def one(cls, order_bound: int) -> "TruncatedSeries":
-        return cls((_ONE,), order_bound)
-
     def coefficient(self, power: int) -> Fraction:
         if not 0 <= power < self.order_bound:
             raise ValueError(
                 f"coefficient of t^{power} is not determined at order bound {self.order_bound}"
             )
         return self.coefficients[power]
-
-    @property
-    def constant_term(self) -> Fraction:
-        return self.coefficients[0]
 
     def _require_same_bound(self, other: "TruncatedSeries") -> None:
         if self.order_bound != other.order_bound:
@@ -119,18 +105,6 @@ class TruncatedSeries:
             self.order_bound,
         )
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._require_same_bound(other)
-        return TruncatedSeries(
-            (a - b for a, b in zip(self.coefficients, other.coefficients)),
-            self.order_bound,
-        )
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries((-a for a in self.coefficients), self.order_bound)
-
     def _scale(self, scalar) -> "TruncatedSeries":
         factor = Fraction(scalar)
         return TruncatedSeries(
@@ -157,13 +131,6 @@ class TruncatedSeries:
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self * other.reciprocal()
-        if isinstance(other, (int, Fraction)):
-            return self._scale(Fraction(1, 1) / Fraction(other))
         return NotImplemented
 
     def reciprocal(self) -> "TruncatedSeries":
@@ -197,23 +164,6 @@ class TruncatedSeries:
                 if out[k] and self.coefficients[m - k]:
                     acc -= Fraction(k, m) * out[k] * self.coefficients[m - k]
             out[m] = acc
-        return TruncatedSeries(out, n)
-
-    def exp(self) -> "TruncatedSeries":
-        """Formal exponential; requires constant term 0."""
-        if self.coefficients[0] != 0:
-            raise ValueError("series exponential requires constant term 0")
-        n = self.order_bound
-        out = [_ZERO] * n
-        out[0] = _ONE
-        # m*e_m = sum_{k=1..m} k*s_k*e_{m-k}
-        for m in range(1, n):
-            acc = _ZERO
-            for k in range(1, m + 1):
-                s = self.coefficients[k]
-                if s and out[m - k]:
-                    acc += k * s * out[m - k]
-            out[m] = acc / m
         return TruncatedSeries(out, n)
 
 

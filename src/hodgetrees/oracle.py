@@ -56,16 +56,9 @@ class KernelExpansion:
     entries: tuple[TruncatedSeries, ...]
 
     @property
-    def k_degree_bound(self) -> int:
-        return len(self.entries) - 1
-
-    @property
-    def order_bound(self) -> int:
-        return self.entries[0].order_bound
-
-    @property
     def max_genus(self) -> int:
-        return self.k_degree_bound
+        """Highest genus covered, which is also the top power of k."""
+        return len(self.entries) - 1
 
     def coefficient(self, t_power: int, k_power: int) -> Fraction:
         return self.entries[k_power].coefficient(t_power)

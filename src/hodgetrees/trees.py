@@ -43,7 +43,6 @@ __all__ = [
     "DecoratedTree",
     "canonical_encoding",
     "enumerate_trees",
-    "iter_trees",
     "iter_encoded_trees",
     "count_trees",
     "tree_sum",
@@ -106,12 +105,6 @@ def iter_encoded_trees(genus: int, leaves: int) -> Iterator[tuple[str, Decorated
     _check_parameters(genus, leaves)
     start = [(Leaf(i), f"L{i}", 1) for i in range(1, leaves + 1)]
     yield from _walk(start, 2 * genus + leaves - 1, genus)
-
-
-def iter_trees(genus: int, leaves: int) -> Iterator[DecoratedTree]:
-    """Yield every (genus, leaves) decorated tree, one per build history."""
-    for _, tree in iter_encoded_trees(genus, leaves):
-        yield tree
 
 
 def _walk(roots, step, budget):
@@ -219,96 +212,80 @@ def tree_sum(genus: int, leaves: int) -> Fraction:
     return Fraction(raw) / leaves ** (leaves + genus - 1)
 
 
-class _Survey(NamedTuple):
-    leaf_labels: list[int]
-    unary_steps: list[int]
-    binary_steps: list[int]
-    unary_under: list[tuple[int, DecoratedTree]]
-    pairs: list[tuple[int, int]]  # (parent step, child step) for internal children
+def _inspect(tree: DecoratedTree) -> tuple[str | None, Fraction | None]:
+    """One walk over the tree: (first violated rule or None, weight or None).
 
+    The weight's integer numerator and denominator are multiplied up during
+    the walk, but the ``Fraction`` is built only once every rule has passed,
+    so a malformed step label of 0 is reported, never divided by.
+    """
+    labels: list[int] = []
+    unary: list[int] = []
+    binary: list[int] = []
+    cap_on_leaf = descent_broken = False
+    numer = denom = 1
 
-def _survey(tree: DecoratedTree) -> tuple[_Survey, int]:
-    """Collect labels, steps, descent pairs; returns the survey and leaf count."""
-    survey = _Survey([], [], [], [], [])
-
-    def visit(node: DecoratedTree) -> int:
+    def visit(node: DecoratedTree, above: int | None) -> int:
+        nonlocal cap_on_leaf, descent_broken, numer, denom
         if isinstance(node, Leaf):
-            survey.leaf_labels.append(node.label)
+            labels.append(node.label)
             return 1
+        if not isinstance(node, (Unary, Binary)):
+            raise TypeError(f"not a decorated tree node: {node!r}")
+        step = node.step
+        if above is not None and step <= above:
+            descent_broken = True
         if isinstance(node, Unary):
-            survey.unary_steps.append(node.step)
-            survey.unary_under.append((node.step, node.child))
-            if not isinstance(node.child, Leaf):
-                survey.pairs.append((node.step, node.child.step))
-            return visit(node.child)
-        if isinstance(node, Binary):
-            survey.binary_steps.append(node.step)
-            for child in (node.first, node.second):
-                if not isinstance(child, Leaf):
-                    survey.pairs.append((node.step, child.step))
-            return visit(node.first) + visit(node.second)
-        raise TypeError(f"not a decorated tree node: {node!r}")
+            unary.append(step)
+            cap_on_leaf = cap_on_leaf or isinstance(node.child, Leaf)
+            m = visit(node.child, step)
+            numer *= m * m * m - m
+            denom *= 12 * step
+            return m
+        binary.append(step)
+        m = visit(node.first, step) + visit(node.second, step)
+        numer *= m
+        denom *= step
+        return m
 
-    return survey, visit(tree)
+    visit(tree, None)
+    n = len(labels)
+    g = len(unary)
+    if sorted(labels) != list(range(1, n + 1)):
+        return "leaf labels are not a bijection onto 1..n", None
+    if cap_on_leaf:
+        return "a one-child vertex sits directly above a leaf", None
+    if len(binary) != n - 1:
+        return "two-child vertex count differs from leaf count minus one", None
+    steps = unary + binary
+    used = set(steps)
+    if len(used) != len(steps):
+        return "step labels are not distinct", None
+    top = 2 * g + n - 1
+    if not all(1 <= s <= top for s in steps):
+        return f"step label outside 1..{top}", None
+    if descent_broken:
+        return "step labels do not increase from root to leaves", None
+    for s in unary:
+        if s < 2 or (s - 1) in used:
+            return "a one-child vertex fails to reserve its skipped slot", None
+    if used | {s - 1 for s in unary} != set(range(1, top + 1)):
+        return f"used and skipped labels do not fill 1..{top}", None
+    if isinstance(tree, Unary) and tree.step != 2:
+        return "a one-child root must carry step label 2", None
+    if isinstance(tree, Binary) and tree.step != 1:
+        return "a two-child root must carry step label 1", None
+    return None, Fraction(numer, denom * n ** (n + g - 1))
 
 
 def validate_tree(tree: DecoratedTree) -> str | None:
     """Check every decoration rule; returns None or the first violated rule."""
-    survey, _ = _survey(tree)
-    n = len(survey.leaf_labels)
-    g = len(survey.unary_steps)
-    if sorted(survey.leaf_labels) != list(range(1, n + 1)):
-        return "leaf labels are not a bijection onto 1..n"
-    for _, child in survey.unary_under:
-        if isinstance(child, Leaf):
-            return "a one-child vertex sits directly above a leaf"
-    if len(survey.binary_steps) != n - 1:
-        return "two-child vertex count differs from leaf count minus one"
-    steps = survey.unary_steps + survey.binary_steps
-    if len(set(steps)) != len(steps):
-        return "step labels are not distinct"
-    top = 2 * g + n - 1
-    if steps and not all(1 <= s <= top for s in steps):
-        return f"step label outside 1..{top}"
-    for parent, child in survey.pairs:
-        if child <= parent:
-            return "step labels do not increase from root to leaves"
-    used = set(steps)
-    for s in survey.unary_steps:
-        if s < 2 or (s - 1) in used:
-            return "a one-child vertex fails to reserve its skipped slot"
-    skipped = {s - 1 for s in survey.unary_steps}
-    if used | skipped != set(range(1, top + 1)):
-        return f"used and skipped labels do not fill 1..{top}"
-    if isinstance(tree, Unary) and tree.step != 2:
-        return "a one-child root must carry step label 2"
-    if isinstance(tree, Binary) and tree.step != 1:
-        return "a two-child root must carry step label 1"
-    return None
+    return _inspect(tree)[0]
 
 
 def tree_weight(tree: DecoratedTree) -> Fraction:
     """Exact weight of one decorated tree; rejects malformed trees."""
-    problem = validate_tree(tree)
+    problem, weight = _inspect(tree)
     if problem is not None:
         raise ValueError(f"malformed decorated tree: {problem}")
-    weights: list[Fraction] = []
-
-    def visit(node: DecoratedTree) -> int:
-        if isinstance(node, Leaf):
-            return 1
-        if isinstance(node, Unary):
-            m = visit(node.child)
-            weights.append(Fraction(m * m * m - m, 12 * node.step))
-            return m
-        m = visit(node.first) + visit(node.second)
-        weights.append(Fraction(m, node.step))
-        return m
-
-    survey, n = _survey(tree)
-    g = len(survey.unary_steps)
-    visit(tree)
-    value = Fraction(1, n ** (n + g - 1))
-    for factor in weights:
-        value *= factor
-    return value
+    return weight

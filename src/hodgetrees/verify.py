@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .cutjoin import canonical_key, cycle_value
 from .exact_arith import format_rational
@@ -20,6 +21,7 @@ from .oracle import bernoulli_rhs, gf_expand, oracle_integral
 from .trees import tree_sum
 
 __all__ = [
+    "CHECKS",
     "CheckReport",
     "check_tree_identity",
     "check_bernoulli_identity",
@@ -176,3 +178,15 @@ def check_choice_independence(
                     params = f"g={g},i={i},aux=[{','.join(map(str, aux))}]"
                     return _failed(name, range_text, instances, params, value, reference)
     return _passed(name, range_text, instances)
+
+
+# Every check in run order: name -> (function, the parameter that takes a
+# genus bound, the parameter that takes a leaf bound). Default ranges live
+# only in the functions' signatures.
+CHECKS: dict[str, tuple[Callable[..., CheckReport], str | None, str | None]] = {
+    "tree-identity": (check_tree_identity, "max_genus", "max_leaves"),
+    "bernoulli": (check_bernoulli_identity, "max_genus", "max_extra"),
+    "genus0": (check_genus0, None, "max_leaves"),
+    "oracle": (check_oracle_agreement, "max_genus", None),
+    "independence": (check_choice_independence, "max_genus", None),
+}

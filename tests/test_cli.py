@@ -93,6 +93,21 @@ class TestTable:
 
 
 class TestVerify:
+    def test_all_checks_take_only_given_bounds(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--check", "all", "--max-n", "2", "--format", "json"
+        )
+        assert code == 0
+        assert [(r["check"], r["range"]) for r in json.loads(out)] == [
+            ("tree-identity", "g<=3,n<=2"),
+            ("bernoulli", "g<=3,n<=2"),
+            ("genus0", "n<=2"),
+            ("oracle", "g<=6"),
+            ("independence", "g<=3,aux=1;2;3;1,1;2,3"),
+        ]
+        code, out, _ = run(capsys, "verify", "--check", "oracle", "--max-g", "2")
+        assert code == 0 and out.startswith("PASS oracle range g<=2 ")
+
     def test_single_check(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--check", "genus0", "--max-n", "9"
@@ -156,6 +171,19 @@ class TestDeterminismAndCache:
 
 
 class TestErrorPaths:
+    def test_oversized_enumeration_refused(self, capsys, monkeypatch):
+        import hodgetrees.cli as cli
+        import hodgetrees.trees as trees
+
+        def no_enumeration(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(cli, "enumerate_trees", no_enumeration)
+        monkeypatch.setattr(trees, "iter_encoded_trees", no_enumeration)
+        code, out, err = run(capsys, "trees", "enumerate", "--g", "0", "--n", "12")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "enumeration limit" in err
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])

@@ -242,6 +242,45 @@ class TestCachePersistence:
         with pytest.raises(ValueError):
             load_cache(path)
 
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        import hodgetrees.cutjoin as cutjoin
+
+        class FailsAfterFirstLine:
+            def __init__(self, handle):
+                self.handle = handle
+                self.lines = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                if self.lines:
+                    raise OSError("disk full")
+                self.lines += 1
+                return self.handle.write(text)
+
+        old = {}
+        value(2, 1, (1, 1, 1), old)
+        path = tmp_path / "memo.tsv"
+        save_cache(old, path)
+        snapshot = path.read_bytes()
+        new = dict(old)
+        value(3, 1, (1, 1, 1, 1), new)
+
+        def failing_open(*args, **kwargs):
+            return FailsAfterFirstLine(open(*args, **kwargs))
+
+        monkeypatch.setattr(cutjoin, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_cache(new, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == snapshot
+        assert load_cache(path) == old
+        assert [p.name for p in tmp_path.iterdir()] == ["memo.tsv"]
+
     def test_rejects_conflicting_duplicates(self, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text("1\t1\t1,2\t1/6\n1\t1\t1,2\t1/7\n")

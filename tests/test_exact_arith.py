@@ -66,21 +66,39 @@ def series(coeffs, bound):
     return TruncatedSeries([Fraction(c) for c in coeffs], bound)
 
 
+def exp(s):
+    """Formal exponential of a series with constant term 0.
+
+    Kept out of the package, which never needs it: it is the independent
+    check on ``TruncatedSeries.log`` in the round-trip tests below.
+    """
+    if s.coefficient(0) != 0:
+        raise ValueError("series exponential requires constant term 0")
+    n = s.order_bound
+    out = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    # m*e_m = sum_{k=1..m} k*s_k*e_{m-k}
+    for m in range(1, n):
+        out[m] = sum(k * s.coefficient(k) * out[m - k] for k in range(1, m + 1)) / m
+    return TruncatedSeries(out, n)
+
+
 class TestSeries:
     def test_product(self):
         assert series([1, 1], 3) * series([1, -1], 3) == series([1, 0, -1], 3)
 
     def test_operations_preserve_order_bound(self):
         a, b = series([1, 2, 3], 5), series([1, 1], 5)
-        for result in (a + b, a - b, a * b, a / b, a.log(), (b - b).exp()):
+        for result in (a + b, 2 * a, a * b, b.reciprocal(), a.log()):
             assert result.order_bound == 5
 
     def test_geometric_reciprocal(self):
-        assert series([1], 5) / series([1, -1], 5) == series([1, 1, 1, 1, 1], 5)
+        assert series([1], 5) * series([1, -1], 5).reciprocal() == series(
+            [1, 1, 1, 1, 1], 5
+        )
 
     def test_reciprocal_round_trip(self):
         s = series([2, 5, -1, 7], 6)
-        assert s * s.reciprocal() == TruncatedSeries.one(6)
+        assert s * s.reciprocal() == series([1], 6)
 
     def test_mismatched_bounds_rejected(self):
         with pytest.raises(ValueError, match="mismatched order bounds"):
@@ -96,7 +114,6 @@ class TestSeries:
         s = series([1, 2, 3], 3)
         assert 2 * s == series([2, 4, 6], 3)
         assert s * Fraction(1, 2) == series([Fraction(1, 2), 1, Fraction(3, 2)], 3)
-        assert s / 2 == series([Fraction(1, 2), 1, Fraction(3, 2)], 3)
 
     def test_coefficient_access_bounded(self):
         s = series([1, 2], 2)
@@ -105,13 +122,13 @@ class TestSeries:
             s.coefficient(2)
 
     def test_log_of_one_is_zero(self):
-        assert TruncatedSeries.one(6).log() == TruncatedSeries.zero(6)
+        assert series([1], 6).log() == series([], 6)
 
     def test_exp_of_zero_is_one(self):
-        assert TruncatedSeries.zero(6).exp() == TruncatedSeries.one(6)
+        assert exp(series([], 6)) == series([1], 6)
 
     def test_exp_of_t_has_factorial_coefficients(self):
-        e = series([0, 1], 8).exp()
+        e = exp(series([0, 1], 8))
         for m in range(8):
             assert e.coefficient(m) == Fraction(1, math.factorial(m))
 
@@ -121,7 +138,7 @@ class TestSeries:
 
     def test_exp_requires_zero_constant_term(self):
         with pytest.raises(ValueError, match="constant term 0"):
-            series([1, 1], 3).exp()
+            exp(series([1, 1], 3))
 
     def test_log_is_a_homomorphism(self):
         s = series([1, 1, 1], 8)
@@ -137,7 +154,7 @@ class TestSeries:
     )
     def test_exp_log_round_trip(self, tail):
         s = TruncatedSeries([Fraction(1)] + tail, 12)
-        assert s.log().exp() == s
+        assert exp(s.log()) == s
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -149,7 +166,7 @@ class TestSeries:
     )
     def test_log_exp_round_trip(self, tail):
         s = TruncatedSeries([Fraction(0)] + tail, 12)
-        assert s.exp().log() == s
+        assert exp(s).log() == s
 
 
 class TestBernoulli:

@@ -31,7 +31,7 @@ class TestSineKernel:
         from hodgetrees.exact_arith import TruncatedSeries
 
         kernel = sine_kernel(12)
-        assert kernel * kernel.reciprocal() == TruncatedSeries.one(12)
+        assert kernel * kernel.reciprocal() == TruncatedSeries([1], 12)
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
@@ -47,8 +47,8 @@ class TestExpansion:
 
     def test_degree_and_order(self):
         expansion = gf_expand(4)
-        assert expansion.k_degree_bound == 4
-        assert expansion.order_bound == 10
+        assert expansion.max_genus == 4
+        assert all(e.order_bound == 10 for e in expansion.entries)
 
     def test_low_coefficients(self):
         expansion = gf_expand(2)
@@ -65,8 +65,8 @@ class TestExpansion:
 
     def test_truncation_stability(self):
         small, large = gf_expand(3), gf_expand(6)
-        for j in range(small.k_degree_bound + 1):
-            for m in range(small.order_bound):
+        for j in range(small.max_genus + 1):
+            for m in range(small.entries[0].order_bound):
                 assert small.coefficient(m, j) == large.coefficient(m, j)
 
     def test_rejects_genus_zero(self):

@@ -47,10 +47,9 @@ class TestCounts:
         assert enumerate_trees(0, 1) == [Leaf(1)]
 
     def test_iterator_matches_list(self):
-        from hodgetrees.trees import iter_trees
-
-        listed = sorted(canonical_encoding(t) for t in iter_trees(2, 3))
-        assert listed == [canonical_encoding(t) for t in enumerate_trees(2, 3)]
+        pairs = sorted(iter_encoded_trees(2, 3))
+        assert [e for e, _ in pairs] == [canonical_encoding(t) for _, t in pairs]
+        assert [t for _, t in pairs] == enumerate_trees(2, 3)
 
     @pytest.mark.parametrize("genus, leaves", [(-1, 2), (1, 0)])
     def test_rejects_bad_parameters(self, genus, leaves):
@@ -238,3 +237,49 @@ class TestValidation:
     def test_wrong_root_label(self):
         mutated = Binary(2, Leaf(1), Unary(4, Binary(5, Leaf(2), Leaf(3))))
         assert validate_tree(mutated) is not None
+
+
+# One small malformed tree per rule that a tree of Leaf, Unary and Binary
+# vertices can break, in the order validate_tree checks them. Each tree
+# but the step-0 one also breaks the next such rule, so the expected
+# message pins the order. Integer labels that pass the earlier
+# rules always fill 1..2g+n-1, so the fill case needs a label of 3/2.
+# Three rules never fire: such a tree always has one two-child vertex fewer
+# than it has leaves, and once the labels fill 1..2g+n-1 the smallest
+# label, the root's, is 1 for a two-child root and 2 for a one-child root.
+RULE_BREAKERS = [
+    (Unary(3, Leaf(2)), "leaf labels are not a bijection onto 1..n"),
+    (
+        Binary(1, Unary(1, Leaf(1)), Leaf(2)),
+        "a one-child vertex sits directly above a leaf",
+    ),
+    (Unary(4, Binary(4, Leaf(1), Leaf(2))), "step labels are not distinct"),
+    (Binary(3, Binary(2, Leaf(1), Leaf(2)), Leaf(3)), "step label outside 1..2"),
+    # a weight computed before this rule would divide by the step label 0
+    (Binary(0, Leaf(1), Leaf(2)), "step label outside 1..1"),
+    (
+        Unary(3, Binary(2, Leaf(1), Leaf(2))),
+        "step labels do not increase from root to leaves",
+    ),
+    (
+        Unary(1, Binary(3, Leaf(1), Leaf(2))),
+        "a one-child vertex fails to reserve its skipped slot",
+    ),
+    (
+        Binary(Fraction(3, 2), Binary(2, Leaf(1), Leaf(2)), Leaf(3)),
+        "used and skipped labels do not fill 1..2",
+    ),
+]
+
+
+class TestValidationRules:
+    @pytest.mark.parametrize("tree, message", RULE_BREAKERS)
+    def test_first_violated_rule(self, tree, message):
+        assert validate_tree(tree) == message
+        with pytest.raises(ValueError) as excinfo:
+            tree_weight(tree)
+        assert str(excinfo.value) == f"malformed decorated tree: {message}"
+
+    def test_rejects_foreign_node(self):
+        with pytest.raises(TypeError):
+            validate_tree(Binary(1, Leaf(1), "L2"))
