@@ -6,7 +6,7 @@ verification checks. Values print as reduced fractions; pass ``--decimal D``
 where supported for a correctly rounded D-digit approximation, marked with a
 leading ``~``. Exit codes: 0 on success or all checks passing, 1 on a
 verification failure, 2 on a usage error or on a ``trees enumerate`` input
-with more than ``ENUMERATION_LIMIT`` trees.
+with more than ``ENUMERATION_LIMIT`` trees, 3 on an internal error.
 """
 
 from __future__ import annotations
@@ -243,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UndefinedExponentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # RecursionError is a RuntimeError too
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
     raise AssertionError("unreachable subcommand")
 
 

@@ -3,34 +3,39 @@
 A value is indexed by a genus g, a lambda-class index, and a nonempty
 multiset of positive integer weights; it is the integral of a power of the
 first psi class times one lambda class over the cycle of one-pointed curves
-carrying a meromorphic function with those pole orders. Three rewrite
-families express a value through strictly smaller ones:
+carrying a meromorphic function with those pole orders. With N the weight
+total, n the number of weights and m_w the multiplicity of weight w,
+12*N*(2g + n - 1) times a value is an integer combination of three rewrite
+families of strictly smaller values:
 
-* join: two weights are replaced by their sum (genus and index unchanged),
-  with coefficient equal to that sum;
+* join: weights a <= b are replaced by a + b (genus and index unchanged),
+  with coefficient 12(a + b) times the C(m_a, 2) or m_a*m_b such pairs;
 * handle removal: genus and index both drop by one (weights unchanged),
-  each weight w contributing coefficient (w**3 - w)/12;
-* split: one weight w is cut into positive parts w' + w'' while only the
-  genus drops, with coefficient w'*w''/2 per ordered cut.
+  with coefficient the sum of m_w*(w**3 - w);
+* split: one weight w is cut into p + q, p <= q, while only the genus
+  drops, with coefficient 6*p*q*m_w, doubled when p != q (two ordered cuts).
 
-All coefficients are divided by the prefactor N*(2g + n - 1), where N is the
-weight total and n the number of weights. Two seeds close the recursion:
-genus 1, index 1, single weight a gives (a*a - 1)/24, and genus 0, index 0,
-two weights give 1. Values with index below 0 or above the genus, or with
-negative genus, vanish identically.
+Two seeds close the recursion: genus 1, index 1, single weight a gives
+(a*a - 1)/24, and genus 0, index 0, two weights give 1. Values with index
+below 0 or above the genus, or with negative genus, vanish identically.
 
 The psi exponent 2g + n - 2 - index drops by exactly one at every rewrite,
 so a query with positive exponent resolves to seeds and vanishing values in
-finitely many steps. Evaluation is pure given the memo dictionary; a single
-dict may be shared across threads only because rebinding a key to a
-different value is rejected, but the intended use is one cache per thread.
+finitely many steps, which evaluation walks with an explicit stack (no
+recursion limit bounds their depth); each value is one integer numerator
+over the lcm of its terms' denominators, reduced once. Evaluation is
+pure given the memo dictionary; a single dict may be shared across threads
+only because rebinding a key to a different value is rejected, but the
+intended use is one cache per thread.
 """
 
 from __future__ import annotations
 
+import math
 import os
+from collections import Counter
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .exact_arith import format_rational, parse_rational
 
@@ -82,51 +87,58 @@ def _vanishes(key: CycleKey) -> bool:
     return key.lam < 0 or key.genus < 0 or key.lam > key.genus
 
 
-def recursion_terms(key: CycleKey) -> list[tuple[Fraction, CycleKey]]:
-    """One rewrite step: children with coefficients, prefactor already divided out.
+def _multiset_joins(items: tuple[int, ...], counts: Counter) -> Iterator[tuple]:
+    """Each distinct way to replace two entries of a sorted tuple by their sum.
 
-    Children that vanish by the index convention are dropped, coefficients of
-    children with equal canonical keys are summed, and zero coefficients
-    (weight-1 handle removals) never appear. Every child conserves the weight
-    total. Only keys with positive psi exponent can be expanded.
+    ``counts`` is ``Counter(items)``. Yields the number of position pairs
+    that make the join, the sum, and the sorted tuple after the join.
     """
-    genus, lam, weights = key
+    distinct = sorted(counts)
+    for position, a in enumerate(distinct):
+        m = counts[a]
+        for b in distinct[position:]:
+            pairs = m * (m - 1) // 2 if a == b else m * counts[b]
+            if pairs:
+                merged = list(items)
+                merged.remove(a)
+                merged.remove(b)
+                yield pairs, a + b, tuple(sorted(merged + [a + b]))
+
+
+def recursion_terms(key: CycleKey) -> list[tuple[Fraction, CycleKey]]:
+    """One rewrite step: children sorted by key, with their coefficients.
+
+    Each coefficient is an integer over 12*N*(2g + n - 1), one per distinct
+    child (the module docstring lists them). Children that vanish by the
+    index convention are dropped, and zero coefficients (weight-1 handle
+    removals) never appear. Every child conserves the weight total. Only
+    keys with positive psi exponent can be expanded.
+    """
     if key.exponent <= 0:
         raise ValueError(
             f"recursion needs a positive psi exponent, got {key.exponent} for {key}"
         )
-    n = len(weights)
+    genus, lam, weights = key
     total = sum(weights)
-    scale = Fraction(1, total * (2 * genus + n - 1))
-    acc: dict[CycleKey, Fraction] = {}
-
-    def put(child: CycleKey, coefficient: Fraction) -> None:
-        if _vanishes(child):
-            return
-        assert sum(child.weights) == total, "rewrite changed the weight total"
-        acc[child] = acc.get(child, _ZERO) + coefficient
-
-    for k in range(n):
-        for l in range(k + 1, n):
-            joined = weights[:k] + weights[k + 1 : l] + weights[l + 1 :]
-            merged = weights[k] + weights[l]
-            put(
-                CycleKey(genus, lam, tuple(sorted(joined + (merged,)))),
-                merged * scale,
-            )
-    handle_child = CycleKey(genus - 1, lam - 1, weights)
-    for w in weights:
-        numer = w * w * w - w
-        if numer:
-            put(handle_child, Fraction(numer, 12) * scale)
-    for k, w in enumerate(weights):
-        rest = weights[:k] + weights[k + 1 :]
-        for part in range(1, w):
-            put(
-                CycleKey(genus - 1, lam, tuple(sorted(rest + (part, w - part)))),
-                Fraction(part * (w - part), 2) * scale,
-            )
-    return [(coefficient, child) for child, coefficient in sorted(acc.items())]
+    counts = Counter(weights)
+    children: dict[CycleKey, int] = {}
+    if not _vanishes(key):
+        for pairs, joined, merged in _multiset_joins(weights, counts):
+            children[CycleKey(genus, lam, merged)] = 12 * joined * pairs
+    handle = CycleKey(genus - 1, lam - 1, weights)
+    coefficient = sum(m * (w * w * w - w) for w, m in counts.items())
+    if coefficient and not _vanishes(handle):
+        children[handle] = coefficient
+    if not _vanishes(CycleKey(genus - 1, lam, weights)):
+        for w, m in counts.items():
+            rest = list(weights)
+            rest.remove(w)
+            for p in range(1, w // 2 + 1):
+                split = CycleKey(genus - 1, lam, tuple(sorted(rest + [p, w - p])))
+                children[split] = 6 * p * (w - p) * m * (1 if 2 * p == w else 2)
+    assert all(sum(c.weights) == total for c in children), "weight total changed"
+    denominator = 12 * total * (2 * genus + len(weights) - 1)
+    return [(Fraction(c, denominator), child) for child, c in sorted(children.items())]
 
 
 def cycle_value(
@@ -149,27 +161,40 @@ def cycle_value(
 def _evaluate(key: CycleKey, cache: dict[CycleKey, Fraction]) -> Fraction:
     if _vanishes(key):
         return _ZERO
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    genus, lam, weights = key
-    if genus == 1 and lam == 1 and len(weights) == 1:
-        a = weights[0]
-        value = Fraction(a * a - 1, 24)
-    elif genus == 0 and lam == 0 and len(weights) == 2:
-        value = _ONE
-    elif key.exponent > 0:
-        value = _ZERO
-        for coefficient, child in recursion_terms(key):
-            value += coefficient * _evaluate(child, cache)
-    else:
-        raise UndefinedExponentError(
-            f"undefined integrand exponent {key.exponent} for {key}"
-        )
-    previous = cache.setdefault(key, value)
-    if previous != value:
-        raise RuntimeError(f"memo cache rebound {key}: {previous} vs {value}")
-    return value
+    # (key, None) until the key is expanded, then (key, its terms) beneath its
+    # unresolved children, whose smaller psi exponent makes them resolve first.
+    stack: list[tuple[CycleKey, list | None]] = [(key, None)]
+    while stack:
+        top, terms = stack.pop()
+        if top in cache:
+            continue
+        genus, lam, weights = top
+        if terms is not None:
+            # Sum of coefficient * child value as one numerator over one lcm.
+            values = [(c, cache[child]) for c, child in terms]
+            products = [
+                (c.numerator * v.numerator, c.denominator * v.denominator)
+                for c, v in values
+            ]
+            common = math.lcm(*(d for _, d in products))
+            value = Fraction(sum(n * (common // d) for n, d in products), common)
+        elif genus == 1 and lam == 1 and len(weights) == 1:
+            value = Fraction(weights[0] * weights[0] - 1, 24)
+        elif genus == 0 and lam == 0 and len(weights) == 2:
+            value = _ONE
+        elif top.exponent > 0:
+            terms = recursion_terms(top)
+            stack.append((top, terms))
+            stack.extend((child, None) for _, child in terms if child not in cache)
+            continue
+        else:
+            raise UndefinedExponentError(
+                f"undefined integrand exponent {top.exponent} for {top}"
+            )
+        previous = cache.setdefault(top, value)
+        if previous != value:
+            raise RuntimeError(f"memo cache rebound {top}: {previous} vs {value}")
+    return cache[key]
 
 
 def save_cache(cache: dict[CycleKey, Fraction], path: str | os.PathLike) -> None:

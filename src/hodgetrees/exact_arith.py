@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 __all__ = [
@@ -31,14 +32,20 @@ _RATIONAL_RE = re.compile(r"(?:0|-?[1-9][0-9]*)(?:/[1-9][0-9]*)?")
 
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as ``p/q`` with q > 0 and gcd(p, q) = 1, or plain ``p``."""
-    return str(Fraction(value))
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:  # str() of a huge int is refused; Decimal's is not
+        p, q = Decimal(value.numerator), Decimal(value.denominator)
+        return f"{p}" if q == 1 else f"{p}/{q}"
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical text form, rejecting anything not in lowest terms."""
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a canonical rational: {text!r}")
-    value = Fraction(text)
+    p, _, q = text.partition("/")  # Decimal: int() of text has a digit limit
+    value = Fraction(int(Decimal(p)), int(Decimal(q or 1)))
     if format_rational(value) != text:
         raise ValueError(f"rational not in lowest terms: {text!r}")
     return value

@@ -36,6 +36,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Union
 
+from .cutjoin import _multiset_joins
+
 __all__ = [
     "Leaf",
     "Unary",
@@ -160,31 +162,15 @@ def _aggregate(
         return hit
     step = len(sizes) - 1 + 2 * budget
     counts = Counter(sizes)
-    distinct = sorted(counts)
     total = 0
-    for a_pos, a in enumerate(distinct):
-        for b in distinct[a_pos:]:
-            if a == b:
-                multiplicity = counts[a] * (counts[a] - 1) // 2
-            else:
-                multiplicity = counts[a] * counts[b]
-            if not multiplicity:
-                continue
-            merged = list(sizes)
-            merged.remove(a)
-            merged.remove(b)
-            merged.append(a + b)
-            merged.sort()
-            total += (
-                multiplicity
-                * join_factor(a + b, step)
-                * _aggregate(tuple(merged), budget, join_factor, cap_factor, memo)
-            )
+    for pairs, joined, merged in _multiset_joins(sizes, counts):
+        below = _aggregate(merged, budget, join_factor, cap_factor, memo)
+        total += pairs * join_factor(joined, step) * below
     if budget > 0:
         eligible = 0
-        for a in distinct:
+        for a, multiplicity in counts.items():
             if a >= 2:
-                eligible += counts[a] * cap_factor(a, step)
+                eligible += multiplicity * cap_factor(a, step)
         if eligible:
             total += eligible * _aggregate(
                 sizes, budget - 1, join_factor, cap_factor, memo

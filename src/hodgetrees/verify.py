@@ -60,6 +60,7 @@ class CheckReport:
             "check": self.check,
             "range": self.range_text,
             "status": "pass" if self.passed else "fail",
+            "instances": self.instances,
         }
         if self.counterexample is not None:
             obj["counterexample"] = dict(self.counterexample)

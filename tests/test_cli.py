@@ -1,4 +1,6 @@
 import json
+import math
+from decimal import Decimal
 
 import pytest
 
@@ -32,6 +34,18 @@ class TestSingleValues:
     def test_bernoulli(self, capsys):
         code, out, _ = run(capsys, "bernoulli", "--m", "4")
         assert code == 0 and out == "-1/30\n"
+
+    @pytest.mark.parametrize("g", [1200, 1300])
+    def test_deep_cycle_value(self, capsys, tmp_path, g):
+        # Only the handle child survives at each step, so the chain of
+        # rewrites is g deep: beyond the default recursion limit. At g=1300
+        # the denominator has 4,660 digits, more than str() of an int gives
+        # by default. The second run reads the value from the memo file.
+        argv = ("w", "--g", str(g), "--lambda", str(g), "--weights", "2")
+        expected = f"1/{Decimal(8**g * math.factorial(g))}\n"
+        for _ in range(2):
+            code, out, _ = run(capsys, *argv, "--cache", str(tmp_path / "memo.tsv"))
+            assert code == 0 and out == expected
 
     def test_decimal_flag(self, capsys):
         code, out, _ = run(capsys, "bernoulli", "--m", "4", "--decimal", "8")
@@ -135,7 +149,12 @@ class TestVerify:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload == {"check": "oracle", "range": "g<=3", "status": "pass"}
+        assert payload == {
+            "check": "oracle",
+            "range": "g<=3",
+            "status": "pass",
+            "instances": 9,
+        }
 
 
 class TestDeterminismAndCache:
@@ -183,6 +202,17 @@ class TestErrorPaths:
         code, out, err = run(capsys, "trees", "enumerate", "--g", "0", "--n", "12")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "enumeration limit" in err
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        import hodgetrees.cli as cli
+
+        def rebound(*args):
+            raise RuntimeError("memo cache rebound")
+
+        monkeypatch.setattr(cli, "cycle_value", rebound)
+        code, out, err = run(capsys, "w", "--g", "1", "--lambda", "1", "--weights", "2")
+        assert code == 3 and out == ""
+        assert err == "error: internal: memo cache rebound\n"
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hodgetrees.cutjoin import (
     recursion_terms,
     save_cache,
 )
+from hodgetrees.hodge import hodge_integral, hodge_table
 
 
 def key(genus, lam, weights):
@@ -133,6 +135,59 @@ class TestRecursionTerms:
                 }
 
 
+def _reference_terms(key):
+    """The rewrite step as a loop over position pairs and ordered cuts."""
+    genus, lam, weights = key
+    n = len(weights)
+    total = sum(weights)
+    scale = Fraction(1, total * (2 * genus + n - 1))
+    acc = {}
+
+    def put(child, coefficient):
+        if child.lam < 0 or child.genus < 0 or child.lam > child.genus:
+            return
+        assert sum(child.weights) == total
+        acc[child] = acc.get(child, Fraction(0)) + coefficient
+
+    for k in range(n):
+        for l in range(k + 1, n):
+            joined = weights[:k] + weights[k + 1 : l] + weights[l + 1 :]
+            merged = weights[k] + weights[l]
+            put(
+                CycleKey(genus, lam, tuple(sorted(joined + (merged,)))),
+                merged * scale,
+            )
+    handle_child = CycleKey(genus - 1, lam - 1, weights)
+    for w in weights:
+        numer = w * w * w - w
+        if numer:
+            put(handle_child, Fraction(numer, 12) * scale)
+    for k, w in enumerate(weights):
+        rest = weights[:k] + weights[k + 1 :]
+        for part in range(1, w):
+            put(
+                CycleKey(genus - 1, lam, tuple(sorted(rest + (part, w - part)))),
+                Fraction(part * (w - part), 2) * scale,
+            )
+    return [(coefficient, child) for child, coefficient in sorted(acc.items())]
+
+
+class TestAgainstPairLoop:
+    @pytest.mark.parametrize("aux", [None, (2, 3), (9,), (4, 6)])
+    def test_every_expanded_state(self, aux):
+        cache = {}
+        if aux is None:
+            hodge_table(8, cache)
+        else:
+            for g in range(1, 6):
+                for i in range(g + 1):
+                    hodge_integral(g, i, aux, cache)
+        expanded = [k for k in cache if k.exponent > 0]
+        assert len(expanded) > 100
+        for k in expanded:
+            assert recursion_terms(k) == _reference_terms(k), k
+
+
 def partitions(total, largest=None):
     if largest is None:
         largest = total
@@ -196,6 +251,13 @@ class TestExpansionInvariants:
             cache = {}
             values = {k: cycle_value(k, cache) for k in order}
             assert [values[k] for k in keys] == one_by_one
+
+    def test_deep_chain_needs_no_recursion_limit(self):
+        # At index == genus with the single weight 2 only the handle child
+        # survives, coefficient 6 over 48g, so the chain is 1500 steps deep.
+        assert cycle_value(canonical_key(1500, 1500, (2,))) == Fraction(
+            1, 8**1500 * math.factorial(1500)
+        )
 
     def test_cache_reuse_is_consistent(self):
         cache = {}

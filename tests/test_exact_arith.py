@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,13 @@ class TestRationalText:
     @given(st.fractions())
     def test_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x
+
+    def test_past_the_int_digit_limit(self):
+        # 7**6000 has 5,071 digits, more than str() of an int gives by default.
+        x = Fraction(-3, 7**6000)
+        text = format_rational(x)
+        assert text == f"-3/{Decimal(7**6000)}"
+        assert parse_rational(text) == x
 
 
 def series(coeffs, bound):

@@ -4,6 +4,7 @@ import pytest
 
 from hodgetrees.cutjoin import canonical_key
 from hodgetrees.hodge import binomial_terms, hodge_integral, hodge_table
+from hodgetrees.oracle import gf_expand, oracle_integral
 
 
 class TestBinomialTerms:
@@ -82,6 +83,14 @@ class TestTable:
         assert rows[(2, 1)] == Fraction(1, 480)
         assert rows[(2, 2)] == Fraction(7, 5760)
         assert len(rows) == 5
+
+    def test_matches_oracle_to_genus_12(self):
+        # Twice the genus range of the acceptance checks: 90 rows.
+        expansion = gf_expand(12)
+        rows = hodge_table(12)
+        assert len(rows) == 90
+        for g, i, value in rows:
+            assert value == oracle_integral(g, i, expansion), (g, i)
 
     def test_all_positive(self):
         assert all(value > 0 for _, _, value in hodge_table(6))

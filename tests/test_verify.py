@@ -76,6 +76,7 @@ class TestRendering:
             "check": "genus0",
             "range": "n<=9",
             "status": "pass",
+            "instances": 9,
         }
 
     def test_fail_text_and_json(self):
@@ -90,6 +91,6 @@ class TestRendering:
         assert text.startswith("FAIL oracle range g<=6")
         assert "g=2,i=1" in text and "1/480" in text and "1/481" in text
         obj = report.to_json_obj()
-        assert obj["status"] == "fail"
+        assert obj["status"] == "fail" and obj["instances"] == 4
         assert obj["counterexample"]["rhs"] == "1/481"
         json.dumps(obj)  # serializable
