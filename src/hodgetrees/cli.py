@@ -4,9 +4,11 @@ Subcommands compute single integrals or cycle values, enumerate decorated
 trees, print the integral table, print Bernoulli numbers, and run the exact
 verification checks. Values print as reduced fractions; pass ``--decimal D``
 where supported for a correctly rounded D-digit approximation, marked with a
-leading ``~``. Exit codes: 0 on success or all checks passing, 1 on a
-verification failure, 2 on a usage error or on a ``trees enumerate`` input
-with more than ``ENUMERATION_LIMIT`` trees, 3 on an internal error.
+leading ``~``. ``integral`` and ``w`` take ``--cache FILE``, a saved memo;
+FILE is written only when it did not exist or the command added entries.
+Exit codes: 0 on success or all checks passing, 1 on a verification
+failure, 2 on a usage error or on a ``trees enumerate`` input with more
+than ``ENUMERATION_LIMIT`` trees, 3 on an internal error.
 """
 
 from __future__ import annotations
@@ -131,11 +133,11 @@ def _value_text(value: Fraction, decimal_digits: int | None) -> str:
 
 
 def _with_cache(args, compute) -> Fraction:
-    cache = {}
-    if args.cache and os.path.exists(args.cache):
-        cache = load_cache(args.cache)
+    exists = bool(args.cache) and os.path.exists(args.cache)
+    cache = load_cache(args.cache) if exists else {}
+    loaded = len(cache)  # the memo never rebinds a key, so size counts additions
     value = compute(cache)
-    if args.cache:
+    if args.cache and (len(cache) > loaded or not exists):
         save_cache(cache, args.cache)
     return value
 

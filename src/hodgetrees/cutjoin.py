@@ -230,13 +230,14 @@ def load_cache(path: str | os.PathLike) -> dict[CycleKey, Fraction]:
             try:
                 genus = int(fields[0])
                 lam = int(fields[1])
-                weights = tuple(int(w) for w in fields[2].split(","))
+                weights = tuple(map(int, fields[2].split(",")))
                 value = parse_rational(fields[3])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             key = canonical_key(genus, lam, weights)
             if key.weights != weights:
                 raise ValueError(f"{path}:{lineno}: weights are not sorted")
-            if cache.setdefault(key, value) != value:
+            previous = cache.setdefault(key, value)
+            if previous is not value and previous != value:
                 raise ValueError(f"{path}:{lineno}: conflicting duplicate entry")
     return cache

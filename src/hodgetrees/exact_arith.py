@@ -44,11 +44,14 @@ def parse_rational(text: str) -> Fraction:
     """Parse the canonical text form, rejecting anything not in lowest terms."""
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a canonical rational: {text!r}")
-    p, _, q = text.partition("/")  # Decimal: int() of text has a digit limit
-    value = Fraction(int(Decimal(p)), int(Decimal(q or 1)))
-    if format_rational(value) != text:
+    p_text, slash, q_text = text.partition("/")
+    try:
+        p, q = int(p_text), int(q_text or 1)
+    except ValueError:  # int() of text has a digit limit; Decimal has none
+        p, q = int(Decimal(p_text)), int(Decimal(q_text or 1))
+    if slash and (q == 1 or math.gcd(p, q) != 1):
         raise ValueError(f"rational not in lowest terms: {text!r}")
-    return value
+    return Fraction(p, q)
 
 
 class TruncatedSeries:

@@ -19,8 +19,8 @@ times the absolute value of the Bernoulli number with index 2g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact_arith import TruncatedSeries, bernoulli
 
@@ -49,8 +49,7 @@ def sine_kernel(order_bound: int) -> TruncatedSeries:
     return TruncatedSeries(coefficients, order_bound).reciprocal()
 
 
-@dataclass(frozen=True)
-class KernelExpansion:
+class KernelExpansion(NamedTuple):
     """The kernel power expansion: entry j is the t-series multiplying k**j."""
 
     entries: tuple[TruncatedSeries, ...]

@@ -241,6 +241,8 @@ def _inspect(tree: DecoratedTree) -> tuple[str | None, Fraction | None]:
         return "leaf labels are not a bijection onto 1..n", None
     if cap_on_leaf:
         return "a one-child vertex sits directly above a leaf", None
+    # Rules 3, 9 and 10 cannot fire for Leaf/Unary/Binary trees, whose shape
+    # and label fill force them; their messages and order are documented.
     if len(binary) != n - 1:
         return "two-child vertex count differs from leaf count minus one", None
     steps = unary + binary

@@ -10,9 +10,8 @@ per-call memo caches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cutjoin import canonical_key, cycle_value
 from .exact_arith import format_rational
@@ -34,8 +33,7 @@ __all__ = [
 DEFAULT_AUX_VECTORS: tuple[tuple[int, ...], ...] = ((1,), (2,), (3,), (1, 1), (2, 3))
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check: str
     range_text: str
     passed: bool

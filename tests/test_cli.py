@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from decimal import Decimal
 
 import pytest
@@ -178,6 +179,78 @@ class TestDeterminismAndCache:
         assert code == 0 and out == "1/480\n"
         assert path.read_text() == snapshot
         assert load_cache(path) == cache
+
+    # Set on a cache file before a command: a rewrite would give a new mtime.
+    OLD_MTIME_NS = 1_000_000_000_000_000_000
+
+    def aged(self, path):
+        os.utime(path, ns=(self.OLD_MTIME_NS, self.OLD_MTIME_NS))
+        return path.read_bytes()
+
+    def test_hit_leaves_file_untouched(self, capsys, tmp_path):
+        path = tmp_path / "memo.tsv"
+        run(capsys, "integral", "--g", "3", "--lambda", "1", "--cache", str(path))
+        before = self.aged(path)
+        for argv in (
+            ("integral", "--g", "3", "--lambda", "1"),
+            ("w", "--g", "2", "--lambda", "1", "--weights", "1,1,1"),
+        ):
+            code, out, _ = run(capsys, *argv, "--cache", str(path))
+            assert code == 0 and out
+            assert path.read_bytes() == before
+            assert path.stat().st_mtime_ns == self.OLD_MTIME_NS
+
+    def test_miss_rewrites_with_added_keys(self, capsys, tmp_path):
+        path = tmp_path / "memo.tsv"
+        run(capsys, "integral", "--g", "2", "--lambda", "1", "--cache", str(path))
+        self.aged(path)
+        old = load_cache(path)
+        code, out, _ = run(
+            capsys, "integral", "--g", "2", "--lambda", "1", "--weights", "9",
+            "--cache", str(path),
+        )
+        assert code == 0 and out == "1/480\n"
+        assert path.stat().st_mtime_ns != self.OLD_MTIME_NS
+        new = load_cache(path)
+        added = canonical_key(2, 1, (1, 9))
+        assert added in new and added not in old
+        assert {key: new[key] for key in old} == old
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("integral", "--g", "2", "--lambda", "1"), "1/480\n"),
+            (("w", "--g", "1", "--lambda", "2", "--weights", "2"), "0\n"),
+        ],
+    )
+    def test_missing_file_is_created(self, capsys, tmp_path, argv, expected):
+        path = tmp_path / "memo.tsv"
+        code, out, _ = run(capsys, *argv, "--cache", str(path))
+        assert code == 0 and out == expected
+        assert path.exists()
+        if out == "0\n":  # a vanishing value adds no state: an empty memo
+            assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("integral", "--g", "1", "--lambda", "2"),
+            ("w", "--g", "0", "--lambda", "0", "--weights", "3"),
+        ],
+    )
+    def test_failed_query_writes_nothing(self, capsys, tmp_path, argv):
+        missing = tmp_path / "missing.tsv"
+        code, _, err = run(capsys, *argv, "--cache", str(missing))
+        assert code == 2 and err.startswith("error: ")
+        assert not missing.exists()
+        path = tmp_path / "memo.tsv"
+        run(capsys, "integral", "--g", "1", "--lambda", "1", "--cache", str(path))
+        before = self.aged(path)
+        code, _, _ = run(capsys, *argv, "--cache", str(path))
+        assert code == 2
+        assert path.read_bytes() == before
+        assert path.stat().st_mtime_ns == self.OLD_MTIME_NS
+        assert os.listdir(tmp_path) == ["memo.tsv"]
 
     def test_corrupt_cache_rejected(self, capsys, tmp_path):
         path = tmp_path / "memo.tsv"

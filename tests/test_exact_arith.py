@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -68,6 +69,56 @@ class TestRationalText:
         text = format_rational(x)
         assert text == f"-3/{Decimal(7**6000)}"
         assert parse_rational(text) == x
+
+
+def reference_parse(text):
+    """The parser before its fast path: regex, Decimal to Fraction, round trip."""
+    if not re.fullmatch(r"(?:0|-?[1-9][0-9]*)(?:/[1-9][0-9]*)?", text):
+        raise ValueError(f"not a canonical rational: {text!r}")
+    p, _, q = text.partition("/")
+    value = Fraction(int(Decimal(p)), int(Decimal(q or 1)))
+    if format_rational(value) != text:
+        raise ValueError(f"rational not in lowest terms: {text!r}")
+    return value
+
+
+def outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# Each has 4,403 to 4,405 digits, past int()'s default limit on text.
+_BIG = str(Decimal(7**5210))
+_BIG_EVEN = str(Decimal(2 * 7**5209))
+_BIG_TWO = str(Decimal(2**14630))
+
+
+class TestParserEquivalence:
+    """``parse_rational`` accepts exactly what the reference parser accepts."""
+
+    @pytest.mark.parametrize(
+        "text, accepted",
+        [
+            ("0", True), ("0/1", False), ("3/1", False), ("2/4", False),
+            ("0/5", False), ("-0", False), ("01", False), ("1/0", False),
+            ("+1", False), ("-7/2880", True),
+            (_BIG, True), (f"1/{_BIG}", True), (f"-{_BIG_TWO}/{_BIG}", True),
+            (f"{_BIG}/2", True), (f"{_BIG}/1", False), (f"7/{_BIG}", False),
+            (f"-{_BIG_EVEN}/14", False), (f"0/{_BIG}", False),
+            (f"{_BIG_TWO}/{_BIG_EVEN}", False),
+        ],
+    )
+    def test_fixed_cases(self, text, accepted):
+        result = outcome(parse_rational, text)
+        assert result == outcome(reference_parse, text)
+        assert (result[0] == "value") == accepted
+
+    @settings(max_examples=2000)
+    @given(st.text(alphabet="-/0123456789", max_size=12))
+    def test_same_acceptance_and_values(self, text):
+        assert outcome(parse_rational, text) == outcome(reference_parse, text)
 
 
 def series(coeffs, bound):

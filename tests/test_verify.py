@@ -1,9 +1,17 @@
+import inspect
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hodgetrees
 import hodgetrees.verify as verify
+from hodgetrees.oracle import gf_expand
 from hodgetrees.verify import (
     CheckReport,
     check_bernoulli_identity,
@@ -94,3 +102,47 @@ class TestRendering:
         assert obj["status"] == "fail" and obj["instances"] == 4
         assert obj["counterexample"]["rhs"] == "1/481"
         json.dumps(obj)  # serializable
+
+    def test_reports_are_immutable(self):
+        report = CheckReport("genus0", "n<=9", True, 9)
+        with pytest.raises(AttributeError):
+            report.passed = False
+        with pytest.raises(AttributeError):
+            gf_expand(2).entries = ()
+
+
+def test_package_import_skips_dataclasses():
+    # dataclasses imports inspect, a large share of the package's import
+    # time, which every command pays; the records are NamedTuples instead.
+    src = str(Path(hodgetrees.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    probe = (
+        "import sys, hodgetrees.cli;"
+        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"
+
+
+def test_readme_default_ranges_match_signatures():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    # The table is kept by hand; the defaults live in the check signatures.
+    row = re.compile(r"^\| `([a-z0-9-]+)` +\|[^|]*\|([^|]*)\|$", re.M)
+    rows = row.findall(readme.read_text(encoding="utf-8"))
+    table = {name: cell.strip() for name, cell in rows}
+    assert table.pop("all") == ""
+    assert list(table) == list(verify.CHECKS)
+    for name, (check, genus_param, leaf_param) in verify.CHECKS.items():
+        defaults = inspect.signature(check).parameters
+        expected = ", ".join(
+            f"{letter} <= {defaults[param].default}"
+            for letter, param in (("g", genus_param), ("n", leaf_param))
+            if param
+        )
+        assert table[name] == expected, name
