@@ -5,7 +5,10 @@ evaluated in floating point, so all identity checks downstream are exact
 equalities of reduced fractions. This module supplies the pieces the standard
 library lacks: a strict canonical text form for rationals (used by the CLI,
 the JSON emitters and the cache files), dense truncated power series with
-exact coefficients, and a growing table of Bernoulli numbers.
+exact coefficients, and a growing table of Bernoulli numbers. Series
+products, reciprocals and logarithms add up their terms as integers over a
+common denominator and reduce once per coefficient, so every value they
+return is still a reduced ``Fraction``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import re
 import threading
 from decimal import Decimal
 from fractions import Fraction
+from operator import mul
 
 __all__ = [
     "format_rational",
@@ -57,16 +61,20 @@ def parse_rational(text: str) -> Fraction:
 class TruncatedSeries:
     """A dense power series in one variable, kept modulo t**order_bound.
 
-    Coefficients are exact rationals and instances are immutable after
-    construction. Binary operations insist on equal order bounds: silently
-    mixing truncation orders would make "exact modulo t^N" meaningless.
-    Reciprocals need a nonzero constant term, ``log`` a constant term of 1.
+    Coefficients are reduced ``Fraction``s, given as ``int`` or ``Fraction``
+    (anything else, floats included, is refused with ``TypeError``), and
+    instances are immutable after construction. Products, reciprocals and
+    logarithms accumulate each coefficient as one integer numerator over a
+    common denominator, then reduce it once. Binary operations insist on
+    equal order bounds: silently mixing truncation orders would make "exact
+    modulo t^N" meaningless. Reciprocals need a nonzero constant term,
+    ``log`` a constant term of 1.
     """
 
     __slots__ = ("order_bound", "coefficients")
 
     def __init__(self, coefficients, order_bound: int | None = None):
-        coeffs = tuple(Fraction(c) for c in coefficients)
+        coeffs = tuple(map(_exact, coefficients))
         if order_bound is None:
             order_bound = len(coeffs)
         if order_bound < 1:
@@ -125,15 +133,13 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._require_same_bound(other)
             n = self.order_bound
-            out = [_ZERO] * n
-            for i, a in enumerate(self.coefficients):
-                if not a:
-                    continue
-                for j in range(n - i):
-                    b = other.coefficients[j]
-                    if b:
-                        out[i + j] += a * b
-            return TruncatedSeries(out, n)
+            a, a_den = _over_common_denominator(self.coefficients)
+            b, b_den = _over_common_denominator(other.coefficients)
+            den = a_den * b_den
+            return TruncatedSeries(
+                [Fraction(sum(map(mul, a[: m + 1], b[m::-1])), den) for m in range(n)],
+                n,
+            )
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
         return NotImplemented
@@ -149,16 +155,15 @@ class TruncatedSeries:
         if lead == 0:
             raise ValueError("series with zero constant term is not invertible")
         n = self.order_bound
-        inv_lead = 1 / lead
-        out = [_ZERO] * n
-        out[0] = inv_lead
+        a, _ = _over_common_denominator(self.coefficients)
+        out = [1 / lead]
+        # out[j] == nums[j] / den for every j computed so far
+        nums, den = [out[0].numerator], out[0].denominator
         for m in range(1, n):
-            acc = _ZERO
-            for k in range(1, m + 1):
-                a = self.coefficients[k]
-                if a:
-                    acc += a * out[m - k]
-            out[m] = -inv_lead * acc
+            # a_0 * r_m = -sum_{k=1..m} a_k * r_{m-k}
+            value = Fraction(-sum(map(mul, a[1 : m + 1], nums[::-1])), a[0] * den)
+            out.append(value)
+            nums, den = _append_over(nums, den, value)
         return TruncatedSeries(out, n)
 
     def log(self) -> "TruncatedSeries":
@@ -166,15 +171,45 @@ class TruncatedSeries:
         if self.coefficients[0] != 1:
             raise ValueError("series logarithm requires constant term 1")
         n = self.order_bound
-        out = [_ZERO] * n
-        # m*a_m = sum_{k=1..m} k*l_k*a_{m-k}, solved for l_m with a_0 = 1
+        a, _ = _over_common_denominator(self.coefficients)  # a[0] is the denominator
+        out = [_ZERO]
+        # k * out[k] == weighted[k] / den for every k computed so far
+        weighted, den = [0], 1
         for m in range(1, n):
-            acc = self.coefficients[m]
-            for k in range(1, m):
-                if out[k] and self.coefficients[m - k]:
-                    acc -= Fraction(k, m) * out[k] * self.coefficients[m - k]
-            out[m] = acc
+            # m*l_m = m*a_m - sum_{k=1..m-1} k*l_k*a_{m-k}, as a_0 = 1
+            value = Fraction(
+                m * a[m] * den - sum(map(mul, weighted[1:], a[m - 1 : 0 : -1])),
+                m * a[0] * den,
+            )
+            out.append(value)
+            weighted, den = _append_over(weighted, den, m * value)
         return TruncatedSeries(out, n)
+
+
+def _exact(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(
+        f"series coefficients must be int or Fraction, not {type(value).__name__}"
+    )
+
+
+def _over_common_denominator(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over the lcm of their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _append_over(nums: list[int], den: int, value: Fraction) -> tuple[list[int], int]:
+    """Add ``value`` to numerators over ``den``; returns them over the new lcm."""
+    grown = math.lcm(den, value.denominator)
+    if grown != den:
+        factor = grown // den
+        nums = [x * factor for x in nums]
+    nums.append(value.numerator * (grown // value.denominator))
+    return nums, grown
 
 
 _bernoulli_lock = threading.Lock()

@@ -60,6 +60,11 @@ class KernelExpansion(NamedTuple):
         return len(self.entries) - 1
 
     def coefficient(self, t_power: int, k_power: int) -> Fraction:
+        if not 0 <= k_power <= self.max_genus:
+            raise ValueError(
+                f"coefficient of k^{k_power} is not determined: the power of k"
+                f" must lie in 0..{self.max_genus}"
+            )
         return self.entries[k_power].coefficient(t_power)
 
 

@@ -13,6 +13,7 @@ from hodgetrees.exact_arith import (
     format_rational,
     parse_rational,
 )
+from hodgetrees.oracle import gf_expand
 
 
 class TestRationals:
@@ -82,9 +83,9 @@ def reference_parse(text):
     return value
 
 
-def outcome(parse, text):
+def outcome(operation, *args):
     try:
-        return "value", parse(text)
+        return "value", operation(*args)
     except ValueError as exc:
         return "error", str(exc)
 
@@ -174,6 +175,11 @@ class TestSeries:
         assert 2 * s == series([2, 4, 6], 3)
         assert s * Fraction(1, 2) == series([Fraction(1, 2), 1, Fraction(3, 2)], 3)
 
+    @pytest.mark.parametrize("value", [0.1, 1.0, Decimal("0.1"), "1/3", None])
+    def test_inexact_coefficients_refused(self, value):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            TruncatedSeries([1, value], 3)
+
     def test_coefficient_access_bounded(self):
         s = series([1, 2], 2)
         assert s.coefficient(1) == 2
@@ -226,6 +232,154 @@ class TestSeries:
     def test_log_exp_round_trip(self, tail):
         s = TruncatedSeries([Fraction(0)] + tail, 12)
         assert exp(s).log() == s
+
+
+def reference_mul(left, right):
+    """The product before its integer form: one Fraction multiply-add per term."""
+    if left.order_bound != right.order_bound:
+        raise ValueError(
+            f"mismatched order bounds: {left.order_bound} vs {right.order_bound}"
+        )
+    n = left.order_bound
+    out = [Fraction(0)] * n
+    for i, a in enumerate(left.coefficients):
+        if not a:
+            continue
+        for j in range(n - i):
+            b = right.coefficients[j]
+            if b:
+                out[i + j] += a * b
+    return TruncatedSeries(out, n)
+
+
+def reference_reciprocal(s):
+    """The reciprocal before its integer form."""
+    lead = s.coefficients[0]
+    if lead == 0:
+        raise ValueError("series with zero constant term is not invertible")
+    n = s.order_bound
+    inv_lead = 1 / lead
+    out = [Fraction(0)] * n
+    out[0] = inv_lead
+    for m in range(1, n):
+        acc = Fraction(0)
+        for k in range(1, m + 1):
+            a = s.coefficients[k]
+            if a:
+                acc += a * out[m - k]
+        out[m] = -inv_lead * acc
+    return TruncatedSeries(out, n)
+
+
+def reference_log(s):
+    """The logarithm before its integer form."""
+    if s.coefficients[0] != 1:
+        raise ValueError("series logarithm requires constant term 1")
+    n = s.order_bound
+    out = [Fraction(0)] * n
+    for m in range(1, n):
+        acc = s.coefficients[m]
+        for k in range(1, m):
+            if out[k] and s.coefficients[m - k]:
+                acc -= Fraction(k, m) * out[k] * s.coefficients[m - k]
+        out[m] = acc
+    return TruncatedSeries(out, n)
+
+
+def reference_expansion(max_genus):
+    """``gf_expand`` built from the reference operations only."""
+    n = 2 * max_genus + 2
+    sinc = TruncatedSeries(
+        [
+            Fraction((-1) ** (m // 2), 4 ** (m // 2) * math.factorial(m + 1))
+            if m % 2 == 0
+            else 0
+            for m in range(n)
+        ],
+        n,
+    )
+    kernel = reference_reciprocal(sinc)
+    log_kernel = reference_log(kernel)
+    entries = [kernel]
+    for j in range(1, max_genus + 1):
+        entries.append(Fraction(1, j) * reference_mul(entries[-1], log_kernel))
+    return entries
+
+
+# Zeros, signs, and denominators that share no factor with one another, so a
+# wrong common denominator or a missed rescale shows in the numerators.
+_COPRIME_DENOMINATORS = [1, 2, 3, 7**20, 10**9 + 7, 2**61 - 1, 2**89 - 1, 998244353]
+coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**30), max_value=10**30),
+        st.sampled_from(_COPRIME_DENOMINATORS),
+    ),
+)
+bounds = st.integers(min_value=1, max_value=12)
+
+
+def truncated(bound):
+    return st.lists(coefficients, min_size=bound, max_size=bound).map(
+        lambda c: TruncatedSeries(c, bound)
+    )
+
+
+series_pairs = bounds.flatmap(lambda n: st.tuples(truncated(n), truncated(n)))
+single_series = bounds.flatmap(truncated)
+
+
+class TestAgainstReference:
+    """The integer forms of multiply, reciprocal and log equal the old loops."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(series_pairs)
+    def test_product(self, pair):
+        left, right = pair
+        product = left * right
+        assert product == reference_mul(left, right)
+        assert all(type(c) is Fraction for c in product.coefficients)
+
+    @settings(max_examples=150, deadline=None)
+    @given(single_series)
+    def test_reciprocal(self, s):
+        assert outcome(TruncatedSeries.reciprocal, s) == outcome(
+            reference_reciprocal, s
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(single_series)
+    def test_log(self, s):
+        unit = TruncatedSeries((Fraction(1),) + s.coefficients[1:], s.order_bound)
+        assert unit.log() == reference_log(unit)
+        assert outcome(TruncatedSeries.log, s) == outcome(reference_log, s)
+
+    @pytest.mark.parametrize(
+        "operation, reference, args",
+        [
+            (TruncatedSeries.__mul__, reference_mul, (series([1], 3), series([1], 4))),
+            (TruncatedSeries.__mul__, reference_mul, (series([2], 5), series([1], 2))),
+            (TruncatedSeries.reciprocal, reference_reciprocal, (series([0, 1], 4),)),
+            (TruncatedSeries.reciprocal, reference_reciprocal, (series([], 1),)),
+            (TruncatedSeries.log, reference_log, (series([2, 1], 3),)),
+            (TruncatedSeries.log, reference_log, (series([0, 1], 3),)),
+            (TruncatedSeries.log, reference_log, (series([-1], 2),)),
+        ],
+    )
+    def test_errors_unchanged(self, operation, reference, args):
+        result = outcome(operation, *args)
+        assert result[0] == "error"
+        assert result == outcome(reference, *args)
+
+    def test_kernel_expansion_to_genus_30(self):
+        expansion = gf_expand(30)
+        reference = reference_expansion(30)
+        assert len(expansion.entries) == len(reference) == 31
+        for got, want in zip(expansion.entries, reference):
+            assert got.order_bound == want.order_bound == 62
+            assert got.coefficients == want.coefficients
 
 
 class TestBernoulli:

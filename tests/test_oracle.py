@@ -73,6 +73,12 @@ class TestExpansion:
         with pytest.raises(ValueError):
             gf_expand(0)
 
+    @pytest.mark.parametrize("k_power", [-1, -4, 4, 5])
+    def test_k_power_out_of_range(self, k_power):
+        # -1 once read the k**3 entry through negative indexing, 4 an IndexError
+        with pytest.raises(ValueError, match=r"must lie in 0\.\.3"):
+            gf_expand(3).coefficient(4, k_power)
+
 
 class TestOracleIntegral:
     @pytest.mark.parametrize(
@@ -115,8 +121,8 @@ class TestBernoulliForm:
         assert bernoulli_rhs(1) == Fraction(1, 24)
 
     def test_top_lambda_line(self):
-        expansion = gf_expand(8)
-        for genus in range(1, 9):
+        expansion = gf_expand(40)
+        for genus in range(1, 41):
             assert bernoulli_rhs(genus) == math.factorial(genus) * oracle_integral(
                 genus, genus, expansion
             )
