@@ -8,7 +8,8 @@ leading ``~``. ``integral`` and ``w`` take ``--cache FILE``, a saved memo;
 FILE is written only when it did not exist or the command added entries.
 Exit codes: 0 on success or all checks passing, 1 on a verification
 failure, 2 on a usage error or on a ``trees enumerate`` input with more
-than ``ENUMERATION_LIMIT`` trees, 3 on an internal error.
+than ``ENUMERATION_LIMIT`` trees, 3 on an internal error, such as a tree
+listing whose count, order or weight total fails its check.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -29,19 +31,17 @@ from .cutjoin import (
 )
 from .exact_arith import bernoulli, format_rational
 from .hodge import hodge_integral, hodge_table
-from .trees import (
-    canonical_encoding,
-    count_trees,
-    enumerate_trees,
-    tree_sum,
-    tree_weight,
-)
+from .trees import count_trees, tree_sum, weighted_encodings
+
+# Not called here: bench/tracer.py wraps these names in this module.
+from .trees import canonical_encoding, enumerate_trees, tree_weight  # noqa: F401
 from .verify import CHECKS
 
 __all__ = ["main"]
 
-# trees enumerate holds every tree in memory, about 0.7 KB each; this admits
-# (0, 8) with 1,587,600 trees and refuses (2, 7) with 3,016,440.
+# trees enumerate holds every tree's encoding and weight, about 0.25 KB each.
+# (0, 8), 1,587,600 trees, peaked at 441 MiB as text and 1,002 MiB as JSON
+# (Python 3.11). This admits (0, 8) and refuses (2, 7) with 3,016,440 trees.
 ENUMERATION_LIMIT = 2_000_000
 
 
@@ -158,6 +158,27 @@ def _run_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _weight_texts(rows, count: int, total: Fraction) -> dict[tuple[int, int], str]:
+    """Text of each distinct weight, once the listing has checked out whole.
+
+    No tree is validated on its own. The listing must have ``count`` rows,
+    strictly increasing encodings (so no tree twice) and positive weights
+    adding up exactly to ``total``; anything else is an internal error.
+    """
+    if len(rows) != count:
+        raise RuntimeError(f"tree listing has {len(rows)} rows, expected {count}")
+    encodings = [row[0] for row in rows]
+    if any(a >= b for a, b in zip(encodings, encodings[1:])):
+        raise RuntimeError("tree listing is not strictly increasing by encoding")
+    weights = Counter((numer, denom) for _, numer, denom in rows)
+    if any(numer <= 0 or denom <= 0 for numer, denom in weights):
+        raise RuntimeError("tree listing has a weight that is not positive")
+    listed = sum(k * Fraction(numer, denom) for (numer, denom), k in weights.items())
+    if listed != total:
+        raise RuntimeError(f"tree weights add up to {listed}, expected {total}")
+    return {pair: format_rational(Fraction(*pair)) for pair in weights}
+
+
 def _run_trees(args) -> int:
     if args.trees_command == "sum":
         print(_value_text(tree_sum(args.g, args.n), args.decimal))
@@ -168,26 +189,26 @@ def _run_trees(args) -> int:
             f"g={args.g}, n={args.n} has {count} trees,"
             f" more than the enumeration limit of {ENUMERATION_LIMIT}"
         )
-    listed = enumerate_trees(args.g, args.n)
-    rows = [
-        (canonical_encoding(t), format_rational(tree_weight(t))) for t in listed
-    ]
+    rows = weighted_encodings(args.g, args.n)
+    total = tree_sum(args.g, args.n)
+    texts = _weight_texts(rows, count, total)
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "g": args.g,
                     "n": args.n,
-                    "count": len(rows),
-                    "sum": format_rational(tree_sum(args.g, args.n)),
-                    "trees": [{"encoding": e, "weight": w} for e, w in rows],
+                    "count": count,
+                    "sum": format_rational(total),
+                    "trees": [
+                        {"encoding": e, "weight": texts[p, q]} for e, p, q in rows
+                    ],
                 }
             )
         )
     else:
-        print(f"count {len(rows)}")
-        for encoding, weight in rows:
-            print(f"{encoding}\t{weight}")
+        print(f"count {count}")
+        sys.stdout.writelines(f"{e}\t{texts[p, q]}\n" for e, p, q in rows)
     return 0
 
 

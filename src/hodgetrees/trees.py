@@ -27,14 +27,18 @@ leaf descendants, (m**3 - m)/12 by its step label, all times an overall
 1/n**(n+g-1). Weighted sums over all (g, n) trees are evaluated without
 materializing trees, by aggregating histories over the multiset of root
 leaf counts; the per-step factors depend only on those counts, so the
-aggregation is an exact regrouping of the per-tree sum.
+aggregation is an exact regrouping of the per-tree sum. The aggregate is
+an integer recursion: each state's sum is scaled by 12**caps * step!,
+which clears every step denominator.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Union
+from math import factorial
+from operator import itemgetter
+from typing import Iterator, NamedTuple, Union
 
 from .cutjoin import _multiset_joins
 
@@ -50,6 +54,7 @@ __all__ = [
     "tree_sum",
     "tree_weight",
     "validate_tree",
+    "weighted_encodings",
 ]
 
 
@@ -140,62 +145,100 @@ def enumerate_trees(genus: int, leaves: int) -> list[DecoratedTree]:
     return [t for _, t in found]
 
 
-def _aggregate(
-    sizes: tuple[int, ...],
-    budget: int,
-    join_factor: Callable[[int, int], Fraction | int],
-    cap_factor: Callable[[int, int], Fraction | int],
-    memo: dict,
-):
-    """Sum of per-step factor products over all histories from this state.
+def weighted_encodings(genus: int, leaves: int) -> list[tuple[str, int, int]]:
+    """(encoding, numerator, denominator) of each tree's weight, by encoding.
+
+    The walk of ``iter_encoded_trees`` without tree objects: a root is its
+    encoding and leaf count, and a history multiplies up its weight's
+    numerator and denominator, left unreduced. No tree is validated.
+    """
+    _check_parameters(genus, leaves)
+    rows: list[tuple[str, int, int]] = []
+
+    # step == len(roots) - 1 + 2 * budget throughout: at step 1 two roots
+    # and no caps are left, so the last join writes its row directly.
+    def walk(roots, step, budget, numer, denom):
+        if step <= 1:
+            if step == 0:
+                rows.append((roots[0][0], numer, denom))
+                return
+            (enc_i, size_i), (enc_j, size_j) = roots
+            if enc_j < enc_i:
+                enc_i, enc_j = enc_j, enc_i
+            rows.append((f"B1({enc_i},{enc_j})", numer * (size_i + size_j), denom))
+            return
+        for i, (enc_i, size_i) in enumerate(roots):
+            for j in range(i + 1, len(roots)):
+                enc_j, size_j = roots[j]
+                size = size_i + size_j
+                rest = roots.copy()  # roots are a multiset: their order is free
+                del rest[j]
+                if enc_i <= enc_j:
+                    rest[i] = (f"B{step}({enc_i},{enc_j})", size)
+                else:
+                    rest[i] = (f"B{step}({enc_j},{enc_i})", size)
+                walk(rest, step - 1, budget, numer * size, denom * step)
+            if budget > 0 and size_i >= 2:
+                rest = roots.copy()
+                rest[i] = (f"U{step}({enc_i})", size_i)
+                cap = size_i * size_i * size_i - size_i
+                walk(rest, step - 2, budget - 1, numer * cap, denom * 12 * step)
+
+    start = [(f"L{i}", 1) for i in range(1, leaves + 1)]
+    walk(start, 2 * genus + leaves - 1, genus, 1, leaves ** (leaves + genus - 1))
+    rows.sort(key=itemgetter(0))
+    return rows
+
+
+def _aggregate(sizes: tuple[int, ...], budget: int, memo: dict) -> tuple[int, int]:
+    """(number of histories, U times their weight sum) from this state.
 
     ``sizes`` is the sorted multiset of root leaf counts, ``budget`` the
     number of one-child caps still owed. The step counter is determined:
-    one join per surplus root plus two steps per cap. Factors receive the
-    vertex's leaf count and the current step counter.
+    one join per surplus root plus two steps per cap. Scaling the weight sum
+    by U = 12**budget * step! makes it an integer: a join of a + b leaves
+    adds (a + b) * U(child) per position pair, and a cap of a root with m
+    leaves adds (m**3 - m) * (step - 1) * U(child).
     """
     if len(sizes) == 1 and budget == 0:
-        return 1
+        return 1, 1
     state = (sizes, budget)
     hit = memo.get(state)
     if hit is not None:
         return hit
     step = len(sizes) - 1 + 2 * budget
     counts = Counter(sizes)
-    total = 0
+    histories = scaled = 0
     for pairs, joined, merged in _multiset_joins(sizes, counts):
-        below = _aggregate(merged, budget, join_factor, cap_factor, memo)
-        total += pairs * join_factor(joined, step) * below
+        below, below_scaled = _aggregate(merged, budget, memo)
+        histories += pairs * below
+        scaled += pairs * joined * below_scaled
     if budget > 0:
-        eligible = 0
+        eligible = caps = 0
         for a, multiplicity in counts.items():
             if a >= 2:
-                eligible += multiplicity * cap_factor(a, step)
+                eligible += multiplicity
+                caps += multiplicity * (a * a * a - a)
         if eligible:
-            total += eligible * _aggregate(
-                sizes, budget - 1, join_factor, cap_factor, memo
-            )
-    memo[state] = total
-    return total
+            below, below_scaled = _aggregate(sizes, budget - 1, memo)
+            histories += eligible * below
+            scaled += caps * (step - 1) * below_scaled
+    memo[state] = found = (histories, scaled)
+    return found
 
 
 def count_trees(genus: int, leaves: int) -> int:
     """Number of (genus, leaves) decorated trees, i.e. of build histories."""
     _check_parameters(genus, leaves)
-    return _aggregate((1,) * leaves, genus, lambda s, t: 1, lambda s, t: 1, {})
+    return _aggregate((1,) * leaves, genus, {})[0]
 
 
 def tree_sum(genus: int, leaves: int) -> Fraction:
     """Exact sum of tree weights over all (genus, leaves) decorated trees."""
     _check_parameters(genus, leaves)
-    raw = _aggregate(
-        (1,) * leaves,
-        genus,
-        lambda s, t: Fraction(s, t),
-        lambda s, t: Fraction(s * s * s - s, 12 * t),
-        {},
-    )
-    return Fraction(raw) / leaves ** (leaves + genus - 1)
+    scaled = _aggregate((1,) * leaves, genus, {})[1]
+    top = 2 * genus + leaves - 1
+    return Fraction(scaled, 12**genus * factorial(top) * leaves ** (leaves + genus - 1))
 
 
 def _inspect(tree: DecoratedTree) -> tuple[str | None, Fraction | None]:

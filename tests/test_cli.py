@@ -2,11 +2,20 @@ import json
 import math
 import os
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from hodgetrees.cli import main
 from hodgetrees.cutjoin import canonical_key, load_cache
+from hodgetrees.exact_arith import format_rational
+from hodgetrees.trees import (
+    canonical_encoding,
+    count_trees,
+    enumerate_trees,
+    tree_weight,
+    weighted_encodings,
+)
 
 
 def run(capsys, *argv):
@@ -85,6 +94,91 @@ class TestTrees:
             "1/2430",
             "1/4860",
         }
+
+
+def tree_object_listing(genus, leaves):
+    """``trees enumerate`` text and JSON built from tree objects, one by one."""
+    listed = enumerate_trees(genus, leaves)
+    weights = [tree_weight(t) for t in listed]
+    rows = [
+        (canonical_encoding(t), format_rational(w)) for t, w in zip(listed, weights)
+    ]
+    payload = {
+        "g": genus,
+        "n": leaves,
+        "count": len(rows),
+        "sum": format_rational(sum(weights, Fraction(0))),
+        "trees": [{"encoding": e, "weight": w} for e, w in rows],
+    }
+    text = f"count {len(rows)}\n" + "".join(f"{e}\t{w}\n" for e, w in rows)
+    return text, json.dumps(payload) + "\n"
+
+
+# Every (g, n) with 2g + n - 1 <= 9 and at most 100,000 trees: the four
+# benchmark inputs (0, 7), (1, 6), (2, 5), (3, 4), and (2, 6) among them.
+DIFFERENTIAL_CASES = [
+    (g, n)
+    for g in range(5)
+    for n in range(1, 11 - 2 * g)
+    if count_trees(g, n) <= 100_000
+]
+
+
+class TestEnumerationAgainstTreeObjects:
+    @pytest.mark.parametrize("genus, leaves", DIFFERENTIAL_CASES)
+    def test_same_bytes(self, capsys, genus, leaves):
+        text, payload = tree_object_listing(genus, leaves)
+        argv = ("trees", "enumerate", "--g", str(genus), "--n", str(leaves))
+        assert run(capsys, *argv) == (0, text, "")
+        assert run(capsys, *argv, "--format", "json") == (0, payload, "")
+
+
+def _drop_last(rows):
+    return rows[:-1]
+
+
+def _repeat_first(rows):
+    return rows[:1] + rows
+
+
+def _first_twice(rows):
+    # same row count, but one tree listed twice and another missing
+    return rows[:1] + rows[:1] + rows[2:]
+
+
+def _one_weight_negated(rows):
+    # same count, encodings and total: w0, w1 become -w0, w1 + 2 w0
+    (e0, p0, q0), (e1, p1, q1) = rows[:2]
+    return [(e0, -p0, q0), (e1, p1 * q0 + 2 * p0 * q1, q1 * q0)] + rows[2:]
+
+
+def _one_weight_changed(rows):
+    (e0, p0, q0) = rows[0]
+    return [(e0, 2 * p0, q0)] + rows[1:]
+
+
+class TestSelfCheckedEnumeration:
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (_drop_last, "tree listing has 8 rows, expected 9"),
+            (_repeat_first, "tree listing has 10 rows, expected 9"),
+            (_first_twice, "tree listing is not strictly increasing by encoding"),
+            (_one_weight_negated, "tree listing has a weight that is not positive"),
+            (_one_weight_changed, "tree weights add up to"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_corrupted_walk_exits_3(self, capsys, monkeypatch, tamper, message, fmt):
+        import hodgetrees.cli as cli
+
+        monkeypatch.setattr(
+            cli, "weighted_encodings", lambda g, n: tamper(weighted_encodings(g, n))
+        )
+        argv = ("trees", "enumerate", "--g", "2", "--n", "3", "--format", fmt)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: internal: {message}")
 
 
 class TestTable:
@@ -271,6 +365,7 @@ class TestErrorPaths:
             raise AssertionError("enumeration started")
 
         monkeypatch.setattr(cli, "enumerate_trees", no_enumeration)
+        monkeypatch.setattr(cli, "weighted_encodings", no_enumeration)
         monkeypatch.setattr(trees, "iter_encoded_trees", no_enumeration)
         code, out, err = run(capsys, "trees", "enumerate", "--g", "0", "--n", "12")
         assert code == 2 and out == ""

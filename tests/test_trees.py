@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from hodgetrees.cutjoin import _multiset_joins
 from hodgetrees.trees import (
     Binary,
     Leaf,
@@ -14,6 +16,7 @@ from hodgetrees.trees import (
     tree_sum,
     tree_weight,
     validate_tree,
+    weighted_encodings,
 )
 
 UNIT_PAIR_TREE = Unary(2, Binary(3, Leaf(1), Leaf(2)))  # the unique (g=1, n=2) tree
@@ -155,6 +158,89 @@ class TestSums:
                     Fraction(0),
                 )
                 assert tree_sum(genus, leaves) == direct, (genus, leaves)
+
+
+def reference_aggregate(sizes, budget, join_factor, cap_factor, memo):
+    """Sum of per-step factor products over all histories from this state.
+
+    The aggregate as it was before it became an integer recursion: factors
+    are callables of the vertex's leaf count and the current step counter.
+    """
+    if len(sizes) == 1 and budget == 0:
+        return 1
+    state = (sizes, budget)
+    hit = memo.get(state)
+    if hit is not None:
+        return hit
+    step = len(sizes) - 1 + 2 * budget
+    counts = Counter(sizes)
+    total = 0
+    for pairs, joined, merged in _multiset_joins(sizes, counts):
+        below = reference_aggregate(merged, budget, join_factor, cap_factor, memo)
+        total += pairs * join_factor(joined, step) * below
+    if budget > 0:
+        eligible = 0
+        for a, multiplicity in counts.items():
+            if a >= 2:
+                eligible += multiplicity * cap_factor(a, step)
+        if eligible:
+            total += eligible * reference_aggregate(
+                sizes, budget - 1, join_factor, cap_factor, memo
+            )
+    memo[state] = total
+    return total
+
+
+def reference_count(genus, leaves):
+    return reference_aggregate((1,) * leaves, genus, lambda s, t: 1, lambda s, t: 1, {})
+
+
+def reference_sum(genus, leaves):
+    raw = reference_aggregate(
+        (1,) * leaves,
+        genus,
+        lambda s, t: Fraction(s, t),
+        lambda s, t: Fraction(s * s * s - s, 12 * t),
+        {},
+    )
+    return Fraction(raw) / leaves ** (leaves + genus - 1)
+
+
+AGGREGATE_CASES = [(g, n) for g in range(7) for n in range(1, 9)] + [(0, 20), (10, 10)]
+
+
+class TestIntegerAggregate:
+    @pytest.mark.parametrize("genus, leaves", AGGREGATE_CASES)
+    def test_matches_fraction_reference(self, genus, leaves):
+        assert count_trees(genus, leaves) == reference_count(genus, leaves)
+        assert tree_sum(genus, leaves) == reference_sum(genus, leaves)
+
+
+class TestWeightedEncodings:
+    def test_matches_tree_objects(self):
+        # tests/test_cli.py compares the printed listings over a wider range
+        for genus in range(4):
+            for leaves in range(1, 7):
+                if 2 * genus + leaves - 1 > 6:
+                    continue
+                rows = weighted_encodings(genus, leaves)
+                assert [(e, Fraction(p, q)) for e, p, q in rows] == [
+                    (canonical_encoding(t), tree_weight(t))
+                    for t in enumerate_trees(genus, leaves)
+                ], (genus, leaves)
+
+    def test_unit_pair_tree(self):
+        (row,) = weighted_encodings(1, 2)
+        assert row[0] == "U2(B3(L1,L2))" and Fraction(row[1], row[2]) == Fraction(1, 24)
+
+    def test_single_leaf_and_empty(self):
+        assert weighted_encodings(0, 1) == [("L1", 1, 1)]
+        assert weighted_encodings(2, 1) == []
+
+    @pytest.mark.parametrize("genus, leaves", [(-1, 2), (1, 0)])
+    def test_rejects_bad_parameters(self, genus, leaves):
+        with pytest.raises(ValueError):
+            weighted_encodings(genus, leaves)
 
 
 class TestStructure:
