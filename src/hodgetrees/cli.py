@@ -6,6 +6,8 @@ verification checks. Values print as reduced fractions; pass ``--decimal D``
 where supported for a correctly rounded D-digit approximation, marked with a
 leading ``~``. ``integral`` and ``w`` take ``--cache FILE``, a saved memo;
 FILE is written only when it did not exist or the command added entries.
+``verify --check memo --cache FILE`` derives every entry of such a file
+again from the file's own values.
 Exit codes: 0 on success or all checks passing, 1 on a verification
 failure, 2 on a usage error or on a ``trees enumerate`` input with more
 than ``ENUMERATION_LIMIT`` trees, 3 on an internal error, such as a tree
@@ -35,7 +37,7 @@ from .trees import count_trees, tree_sum, weighted_encodings
 
 # Not called here: bench/tracer.py wraps these names in this module.
 from .trees import canonical_encoding, enumerate_trees, tree_weight  # noqa: F401
-from .verify import CHECKS
+from .verify import CHECKS, check_memo
 
 __all__ = ["main"]
 
@@ -115,10 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run exact consistency checks")
     p_verify.add_argument(
-        "--check", choices=(*CHECKS, "all"), required=True
+        "--check", choices=(*CHECKS, "all", "memo"), required=True
     )
     p_verify.add_argument("--max-g", dest="max_g", type=_positive, default=None)
     p_verify.add_argument("--max-n", dest="max_n", type=_positive, default=None)
+    p_verify.add_argument("--cache", default=None)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
@@ -143,12 +146,18 @@ def _with_cache(args, compute) -> Fraction:
 
 
 def _run_verify(args) -> int:
-    selected = CHECKS if args.check == "all" else (args.check,)
-    reports = []
-    for name in selected:
-        check, genus_param, leaf_param = CHECKS[name]
-        given = zip((genus_param, leaf_param), (args.max_g, args.max_n))
-        reports.append(check(**{p: v for p, v in given if p and v is not None}))
+    if args.check == "memo":
+        if args.cache is None or args.max_g is not None or args.max_n is not None:
+            raise ValueError("--check memo takes --cache FILE and no range")
+        reports = [check_memo(args.cache)]
+    elif args.cache is not None:
+        raise ValueError("--cache goes only with --check memo")
+    else:
+        reports = []
+        for name in CHECKS if args.check == "all" else (args.check,):
+            check, genus_param, leaf_param = CHECKS[name]
+            given = zip((genus_param, leaf_param), (args.max_g, args.max_n))
+            reports.append(check(**{p: v for p, v in given if p and v is not None}))
     if args.format == "json":
         payload = [r.to_json_obj() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload))

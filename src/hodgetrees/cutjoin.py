@@ -22,11 +22,21 @@ below 0 or above the genus, or with negative genus, vanish identically.
 The psi exponent 2g + n - 2 - index drops by exactly one at every rewrite,
 so a query with positive exponent resolves to seeds and vanishing values in
 finitely many steps, which evaluation walks with an explicit stack (no
-recursion limit bounds their depth); each value is one integer numerator
-over the lcm of its terms' denominators, reduced once. Evaluation is
-pure given the memo dictionary; a single dict may be shared across threads
-only because rebinding a key to a different value is rejected, but the
-intended use is one cache per thread.
+recursion limit bounds their depth).
+
+Since the coefficients depend on the weights alone, and genus and index only
+pick each child's layer, a step is built once per partition: one
+``recursion_terms`` call at (2, 1), where no child vanishes, gives the
+partition's transitions (genus offset, index offset, child weights, integer
+coefficient). A state at (g, index) shifts them onto its layer, drops the
+children whose index leaves 0..genus, and sums coefficient times child
+numerator over the lcm of the child denominators: one reduced ``Fraction``
+per state. The transitions table lives as long as the process and grows by
+one entry per partition evaluated; its entries are immutable and depend on
+the weights alone, so threads may share it. Evaluation is pure given the
+memo dictionary; a single dict may be shared across threads only because
+rebinding a key to a different value is rejected, but the intended use is
+one cache per thread.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ __all__ = [
     "canonical_key",
     "recursion_terms",
     "cycle_value",
+    "step_value",
     "save_cache",
     "load_cache",
 ]
@@ -112,7 +123,8 @@ def recursion_terms(key: CycleKey) -> list[tuple[Fraction, CycleKey]]:
     child (the module docstring lists them). Children that vanish by the
     index convention are dropped, and zero coefficients (weight-1 handle
     removals) never appear. Every child conserves the weight total. Only
-    keys with positive psi exponent can be expanded.
+    keys with positive psi exponent can be expanded. Evaluation reads each
+    partition's step from this function once, at (2, 1).
     """
     if key.exponent <= 0:
         raise ValueError(
@@ -158,41 +170,120 @@ def cycle_value(
     return _evaluate(key, cache)
 
 
+# A partition's transitions: (genus offset, index offset, child weights,
+# integer coefficient) per child.
+_Transitions = tuple[tuple[int, int, tuple[int, ...], int], ...]
+
+# Weights -> their transitions, filled on first use and kept for the life of
+# the process. An entry depends on nothing but its weights and is immutable,
+# so threads may share the table: two that race on one partition store equal
+# entries and either may stay.
+_TRANSITIONS: dict[tuple[int, ...], _Transitions] = {}
+
+
+def _transitions(weights: tuple[int, ...]) -> _Transitions:
+    """One step's children for every (genus, index), from one ``recursion_terms``.
+
+    The step at (2, 1) keeps every child any (genus, index) can have and its
+    psi exponent n + 1 is positive, so ``recursion_terms`` there lists them
+    all; each coefficient becomes an integer over 12*N*(2g + n - 1).
+    """
+    entries = _TRANSITIONS.get(weights)
+    if entries is None:
+        scale = 12 * sum(weights) * (len(weights) + 3)
+        built = []
+        for coefficient, child in recursion_terms(CycleKey(2, 1, weights)):
+            integer = coefficient * scale
+            assert integer.denominator == 1, f"{coefficient} at {weights}"
+            built.append(
+                (child.genus - 2, child.lam - 1, child.weights, integer.numerator)
+            )
+        entries = _TRANSITIONS[weights] = tuple(built)
+    return entries
+
+
+def _children(genus: int, lam: int, weights: tuple[int, ...]) -> list[tuple]:
+    """(integer coefficient, child) pairs of the step at (genus, lam).
+
+    Children whose index leaves 0..genus vanish and are dropped.
+    """
+    return [
+        (c, (genus + dg, lam + dl, child))
+        for dg, dl, child, c in _transitions(weights)
+        if 0 <= lam + dl <= genus + dg
+    ]
+
+
+def _combine(genus: int, weights: tuple[int, ...], children, cache) -> Fraction:
+    """The step's sum over child values in ``cache``, as one reduced Fraction."""
+    values = [(c, cache[child]) for c, child in children]
+    common = math.lcm(*[v.denominator for _, v in values])
+    numerator = sum([c * v.numerator * (common // v.denominator) for c, v in values])
+    scale = 12 * sum(weights) * (2 * genus + len(weights) - 1)
+    return Fraction(numerator, common * scale)
+
+
+def _seed(genus: int, lam: int, weights: tuple[int, ...]) -> Fraction | None:
+    """The closed form of a seed; None for any other key."""
+    if genus == 1 and lam == 1 and len(weights) == 1:
+        return Fraction(weights[0] * weights[0] - 1, 24)
+    if genus == 0 and lam == 0 and len(weights) == 2:
+        return _ONE
+    return None
+
+
+def _undefined(key: CycleKey) -> UndefinedExponentError:
+    return UndefinedExponentError(
+        f"undefined integrand exponent {key.exponent} for {key}"
+    )
+
+
+def step_value(key: CycleKey, cache: dict[CycleKey, Fraction]) -> Fraction:
+    """The value of ``key`` from one step over its children's values in ``cache``.
+
+    Vanishing keys give 0 and seeds their closed form without reading
+    ``cache``. A child missing from ``cache`` raises ``KeyError`` with that
+    child; a key with nonpositive psi exponent that is neither vanishing nor
+    a seed raises ``UndefinedExponentError``.
+    """
+    genus, lam, weights = key
+    if _vanishes(key):
+        return _ZERO
+    value = _seed(genus, lam, weights)
+    if value is None:
+        if key.exponent <= 0:
+            raise _undefined(key)
+        value = _combine(genus, weights, _children(genus, lam, weights), cache)
+    return value
+
+
 def _evaluate(key: CycleKey, cache: dict[CycleKey, Fraction]) -> Fraction:
     if _vanishes(key):
         return _ZERO
-    # (key, None) until the key is expanded, then (key, its terms) beneath its
-    # unresolved children, whose smaller psi exponent makes them resolve first.
-    stack: list[tuple[CycleKey, list | None]] = [(key, None)]
+    # (key, None) until the key is expanded, then (key, its children) beneath
+    # its unresolved children, whose smaller psi exponent makes them resolve
+    # first. Children are plain tuples, equal to and hashed like their keys;
+    # a CycleKey is built once per state, when it enters the memo.
+    stack: list[tuple[tuple, list | None]] = [(key, None)]
     while stack:
-        top, terms = stack.pop()
+        top, children = stack.pop()
         if top in cache:
             continue
         genus, lam, weights = top
-        if terms is not None:
-            # Sum of coefficient * child value as one numerator over one lcm.
-            values = [(c, cache[child]) for c, child in terms]
-            products = [
-                (c.numerator * v.numerator, c.denominator * v.denominator)
-                for c, v in values
-            ]
-            common = math.lcm(*(d for _, d in products))
-            value = Fraction(sum(n * (common // d) for n, d in products), common)
-        elif genus == 1 and lam == 1 and len(weights) == 1:
-            value = Fraction(weights[0] * weights[0] - 1, 24)
-        elif genus == 0 and lam == 0 and len(weights) == 2:
-            value = _ONE
-        elif top.exponent > 0:
-            terms = recursion_terms(top)
-            stack.append((top, terms))
-            stack.extend((child, None) for _, child in terms if child not in cache)
-            continue
+        if children is not None:
+            value = _combine(genus, weights, children, cache)
         else:
-            raise UndefinedExponentError(
-                f"undefined integrand exponent {top.exponent} for {top}"
-            )
+            value = _seed(genus, lam, weights)
+            if value is None:
+                if 2 * genus + len(weights) - 2 - lam <= 0:
+                    raise _undefined(CycleKey(genus, lam, weights))
+                children = _children(genus, lam, weights)
+                stack.append((top, children))
+                stack.extend((c, None) for _, c in children if c not in cache)
+                continue
+        top = CycleKey(genus, lam, weights)
         previous = cache.setdefault(top, value)
-        if previous != value:
+        if previous is not value and previous != value:
             raise RuntimeError(f"memo cache rebound {top}: {previous} vs {value}")
     return cache[key]
 

@@ -13,7 +13,14 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .cutjoin import canonical_key, cycle_value
+from .cutjoin import (
+    CycleKey,
+    UndefinedExponentError,
+    canonical_key,
+    cycle_value,
+    load_cache,
+    step_value,
+)
 from .exact_arith import format_rational
 from .hodge import hodge_integral
 from .oracle import bernoulli_rhs, gf_expand, oracle_integral
@@ -27,6 +34,7 @@ __all__ = [
     "check_genus0",
     "check_oracle_agreement",
     "check_choice_independence",
+    "check_memo",
     "DEFAULT_AUX_VECTORS",
 ]
 
@@ -176,6 +184,48 @@ def check_choice_independence(
                 if value != reference:
                     params = f"g={g},i={i},aux=[{','.join(map(str, aux))}]"
                     return _failed(name, range_text, instances, params, value, reference)
+    return _passed(name, range_text, instances)
+
+
+def _key_text(key: CycleKey) -> str:
+    weights = ",".join(map(str, key.weights))
+    return f"g={key.genus},lambda={key.lam},weights=[{weights}]"
+
+
+def check_memo(path: str) -> CheckReport:
+    """Every entry of a memo file follows in one step from the file's values.
+
+    Each entry is derived again from its children's values in the file, and
+    seeds and vanishing entries from their closed forms. Entries go in order
+    of increasing psi exponent, so the first wrong entry has children that
+    all checked out: it is the one that is wrong, not a parent that read it.
+    An entry whose children are not all in the file fails too. The file must
+    load with ``load_cache``; this check is opt-in and not part of ``all``.
+    """
+    name = "memo"
+    range_text = f"cache={path}"
+    cache = load_cache(path)
+    instances = 0
+    for key in sorted(cache, key=lambda k: (k.exponent, k)):
+        instances += 1
+        stored = cache[key]
+        try:
+            derived = step_value(key, cache)
+        except KeyError as missing:
+            reason = f"missing child {_key_text(CycleKey(*missing.args[0]))}"
+        except UndefinedExponentError:
+            reason = "undefined"
+        else:
+            if derived == stored:
+                continue
+            reason = format_rational(derived)
+        return CheckReport(
+            name,
+            range_text,
+            False,
+            instances,
+            {"params": _key_text(key), "lhs": format_rational(stored), "rhs": reason},
+        )
     return _passed(name, range_text, instances)
 
 

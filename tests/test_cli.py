@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from hodgetrees.cli import main
-from hodgetrees.cutjoin import canonical_key, load_cache
+from hodgetrees.cutjoin import canonical_key, load_cache, save_cache
 from hodgetrees.exact_arith import format_rational
+from hodgetrees.hodge import hodge_table
 from hodgetrees.trees import (
     canonical_encoding,
     count_trees,
@@ -56,6 +57,14 @@ class TestSingleValues:
         for _ in range(2):
             code, out, _ = run(capsys, *argv, "--cache", str(tmp_path / "memo.tsv"))
             assert code == 0 and out == expected
+
+    def test_deepest_cycle_value(self, capsys):
+        # All 3,000 steps are of the partition (2,): its transitions are
+        # built once and shifted onto 3,000 layers.
+        argv = ("w", "--g", "3000", "--lambda", "3000", "--weights", "2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == f"1/{Decimal(8**3000 * math.factorial(3000))}\n"
 
     def test_decimal_flag(self, capsys):
         code, out, _ = run(capsys, "bernoulli", "--m", "4", "--decimal", "8")
@@ -250,6 +259,78 @@ class TestVerify:
             "status": "pass",
             "instances": 9,
         }
+
+
+@pytest.fixture(scope="module")
+def table_8_memo(tmp_path_factory):
+    cache = {}
+    hodge_table(8, cache)
+    path = tmp_path_factory.mktemp("memo") / "memo.tsv"
+    save_cache(cache, path)
+    return path.read_text(encoding="ascii")
+
+
+class TestMemoAudit:
+    def audit(self, capsys, tmp_path, text, *extra):
+        path = tmp_path / "memo.tsv"
+        path.write_text(text, encoding="ascii")
+        return run(capsys, "verify", "--check", "memo", "--cache", str(path), *extra)
+
+    def test_table_memo_passes(self, capsys, tmp_path, table_8_memo):
+        code, out, _ = self.audit(capsys, tmp_path, table_8_memo)
+        path = tmp_path / "memo.tsv"
+        assert code == 0 and out == f"PASS memo range cache={path} instances=4311\n"
+
+    def test_cut_value_is_the_entry_named(self, capsys, tmp_path, table_8_memo):
+        assert table_8_memo.count("\t91/5760\n") == 1
+        text = table_8_memo.replace("\t91/5760\n", "\t91/576\n")
+        code, out, _ = self.audit(capsys, tmp_path, text, "--format", "json")
+        assert code == 1
+        assert json.loads(out)["counterexample"] == {
+            "params": "g=2,lambda=0,weights=[1,1,2]",
+            "lhs": "91/576",
+            "rhs": "91/5760",
+        }
+
+    def test_missing_child_fails(self, capsys, tmp_path, table_8_memo):
+        lines = table_8_memo.splitlines(keepends=True)
+        child = "1\t1\t1,1,2\t"
+        text = "".join(line for line in lines if not line.startswith(child))
+        code, out, _ = self.audit(capsys, tmp_path, text)
+        assert code == 1
+        assert out.startswith("FAIL memo range cache=")
+        assert out.endswith(
+            " counterexample g=1,lambda=1,weights=[1,1,1,1]: lhs=1/8"
+            " rhs=missing child g=1,lambda=1,weights=[1,1,2]\n"
+        )
+
+    @pytest.mark.parametrize(
+        "line, rhs",
+        [
+            ("1\t1\t3\t1/2\n", "1/3"),  # a seed against its closed form
+            ("1\t2\t3\t1/2\n", "0"),  # a vanishing entry
+            ("0\t0\t5\t1\n", "undefined"),
+        ],
+    )
+    def test_entries_without_children(self, capsys, tmp_path, line, rhs):
+        code, out, _ = self.audit(capsys, tmp_path, line)
+        assert code == 1 and out.endswith(f"lhs={line.split()[-1]} rhs={rhs}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--check", "memo"),
+            ("--check", "memo", "--cache", "m.txt", "--max-g", "3"),
+            ("--check", "oracle", "--cache", "m.txt"),
+        ],
+    )
+    def test_cache_goes_with_memo_only(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_unreadable_file_is_a_usage_error(self, capsys, tmp_path):
+        code, out, err = self.audit(capsys, tmp_path, "not a cache line\n")
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 class TestDeterminismAndCache:

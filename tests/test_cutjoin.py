@@ -1,10 +1,13 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hodgetrees.cutjoin as cutjoin
+import hodgetrees.hodge as hodge
 from hodgetrees.cutjoin import (
     CycleKey,
     UndefinedExponentError,
@@ -186,6 +189,133 @@ class TestAgainstPairLoop:
         assert len(expanded) > 100
         for k in expanded:
             assert recursion_terms(k) == _reference_terms(k), k
+
+
+def reference_evaluate(key, cache):
+    """Evaluation with one ``recursion_terms`` call and its Fractions per state."""
+    if key.lam < 0 or key.genus < 0 or key.lam > key.genus:
+        return Fraction(0)
+    stack = [(key, None)]
+    while stack:
+        top, terms = stack.pop()
+        if top in cache:
+            continue
+        genus, lam, weights = top
+        if terms is not None:
+            value = sum((c * cache[child] for c, child in terms), Fraction(0))
+        elif genus == 1 and lam == 1 and len(weights) == 1:
+            value = Fraction(weights[0] * weights[0] - 1, 24)
+        elif genus == 0 and lam == 0 and len(weights) == 2:
+            value = Fraction(1)
+        elif top.exponent > 0:
+            terms = recursion_terms(top)
+            stack.append((top, terms))
+            stack.extend((child, None) for _, child in terms if child not in cache)
+            continue
+        else:
+            raise UndefinedExponentError(top)
+        cache[top] = value
+    return cache[key]
+
+
+def reference_cycle_value(key, cache=None):
+    return reference_evaluate(canonical_key(*key), {} if cache is None else cache)
+
+
+def assert_same_memos(fast, reference):
+    assert fast == reference
+    assert all(type(k) is CycleKey for k in fast)
+
+
+class TestAgainstReferenceEvaluation:
+    def test_table(self, monkeypatch):
+        fast = {}
+        rows = hodge_table(13, fast)
+        reference = {}
+        monkeypatch.setattr(hodge, "cycle_value", reference_cycle_value)
+        assert hodge_table(13, reference) == rows
+        assert len(fast) == 53_221
+        assert_same_memos(fast, reference)
+
+    @pytest.mark.parametrize("aux", [(2, 3), (9,), (4, 6)])
+    def test_aux(self, aux, monkeypatch):
+        queries = [(g, i) for g in range(1, 6) for i in range(g + 1)]
+        fast = {}
+        values = [hodge_integral(g, i, aux, fast) for g, i in queries]
+        reference = {}
+        monkeypatch.setattr(hodge, "cycle_value", reference_cycle_value)
+        assert [hodge_integral(g, i, aux, reference) for g, i in queries] == values
+        assert_same_memos(fast, reference)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=-1, max_value=7),
+        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+        st.integers(min_value=0, max_value=3),
+    )
+    @example(1, 1, [3], 0)  # seed
+    @example(0, 0, [2, 5], 0)  # seed
+    @example(0, 0, [5], 0)  # undefined
+    @example(2, 3, [1, 1], 0)  # vanishes
+    @example(6, 3, [6, 6, 6, 6], 2)
+    def test_keys_from_empty_and_partial_memos(self, genus, lam, weights, keep):
+        k = canonical_key(genus, lam, weights)
+        full = {}
+        try:
+            expected = reference_evaluate(k, full)
+        except UndefinedExponentError:
+            with pytest.raises(UndefinedExponentError):
+                cycle_value(k)
+            return
+        # keep = 0 starts from an empty memo, otherwise from every keep-th
+        # entry of the full one, so evaluation stops early on some branches.
+        start = dict(sorted(full.items())[::keep]) if keep else {}
+        fast, reference = dict(start), dict(start)
+        assert cycle_value(k, fast) == expected
+        assert reference_evaluate(k, reference) == expected
+        assert_same_memos(fast, reference)
+
+    @pytest.mark.parametrize(
+        "layer", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (4, 4)]
+    )
+    def test_transitions_on_a_layer(self, layer):
+        genus, lam = layer
+        for total in range(1, 11):
+            for weights in partitions(total):
+                k = CycleKey(genus, lam, tuple(sorted(weights)))
+                if k.exponent <= 0:
+                    continue
+                scale = 12 * total * (2 * genus + len(weights) - 1)
+                mapped = sorted(
+                    (CycleKey(*child), Fraction(c, scale))
+                    for c, child in cutjoin._children(genus, lam, k.weights)
+                )
+                assert [(c, child) for child, c in mapped] == _reference_terms(k), k
+
+
+class TestMemoPinAndReach:
+    def test_table_12_memo_bytes(self, tmp_path):
+        cache = {}
+        hodge_table(12, cache)
+        path = tmp_path / "memo.tsv"
+        save_cache(cache, path)
+        data = path.read_bytes()
+        assert data.count(b"\n") == 33_839
+        assert len(data) == 1_603_536
+        assert hashlib.sha256(data).hexdigest() == (
+            "007271ec6c4224bd5a619063f2f37e4da8796fa1e8faa156d92b69dce3613718"
+        )
+
+    def test_aux_nine_stays_at_total_nine_and_above(self, monkeypatch):
+        monkeypatch.setattr(cutjoin, "_TRANSITIONS", {})
+        cache = {}
+        for g in range(1, 6):
+            for i in range(g + 1):
+                hodge_integral(g, i, (9,), cache)
+        assert min(sum(k.weights) for k in cache) == 9
+        assert min(sum(weights) for weights in cutjoin._TRANSITIONS) == 9
+        assert len(cutjoin._TRANSITIONS) > 100
 
 
 def partitions(total, largest=None):
