@@ -41,9 +41,9 @@ from .verify import CHECKS, check_memo
 
 __all__ = ["main"]
 
-# trees enumerate holds every tree's encoding and weight, about 0.25 KB each.
-# (0, 8), 1,587,600 trees, peaked at 441 MiB as text and 1,002 MiB as JSON
-# (Python 3.11). This admits (0, 8) and refuses (2, 7) with 3,016,440 trees.
+# trees enumerate holds every tree's encoding and weight, about 0.28 KB each.
+# (0, 8), 1,587,600 trees, peaked at 441 MiB as text and as JSON (Python
+# 3.11). This admits (0, 8) and refuses (2, 7) with 3,016,440 trees.
 ENUMERATION_LIMIT = 2_000_000
 
 
@@ -202,19 +202,17 @@ def _run_trees(args) -> int:
     total = tree_sum(args.g, args.n)
     texts = _weight_texts(rows, count, total)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "g": args.g,
-                    "n": args.n,
-                    "count": count,
-                    "sum": format_rational(total),
-                    "trees": [
-                        {"encoding": e, "weight": texts[p, q]} for e, p, q in rows
-                    ],
-                }
-            )
+        # The bytes json.dumps gives, one row at a time: encodings use only
+        # LUB0-9(), and weights only -0-9/, which JSON strings hold as they are.
+        sys.stdout.write(
+            f'{{"g": {args.g}, "n": {args.n}, "count": {count},'
+            f' "sum": "{format_rational(total)}", "trees": ['
         )
+        sys.stdout.writelines(
+            f'{", " if k else ""}{{"encoding": "{e}", "weight": "{texts[p, q]}"}}'
+            for k, (e, p, q) in enumerate(rows)
+        )
+        print("]}")
     else:
         print(f"count {count}")
         sys.stdout.writelines(f"{e}\t{texts[p, q]}\n" for e, p, q in rows)

@@ -202,11 +202,31 @@ def _transitions(weights: tuple[int, ...]) -> _Transitions:
     return entries
 
 
-def _children(genus: int, lam: int, weights: tuple[int, ...]) -> list[tuple]:
-    """(integer coefficient, child) pairs of the step at (genus, lam).
+def _seed(genus: int, lam: int, weights: tuple[int, ...]) -> Fraction | None:
+    """The closed form of a seed; None for any other key."""
+    if genus == 1 and lam == 1 and len(weights) == 1:
+        return Fraction(weights[0] * weights[0] - 1, 24)
+    if genus == 0 and lam == 0 and len(weights) == 2:
+        return _ONE
+    return None
 
-    Children whose index leaves 0..genus vanish and are dropped.
+
+def _step(genus: int, lam: int, weights: tuple[int, ...]) -> Fraction | list:
+    """A seed's closed form, or the (integer coefficient, child) pairs of its step.
+
+    The index must lie in 0..genus. Children whose index leaves 0..genus
+    vanish and are dropped. A key with nonpositive psi exponent that is not a
+    seed raises ``UndefinedExponentError``: it has no step, and no step
+    reaches it.
     """
+    value = _seed(genus, lam, weights)
+    if value is not None:
+        return value
+    if 2 * genus + len(weights) - 2 - lam <= 0:
+        key = CycleKey(genus, lam, weights)
+        raise UndefinedExponentError(
+            f"undefined integrand exponent {key.exponent} for {key}"
+        )
     return [
         (c, (genus + dg, lam + dl, child))
         for dg, dl, child, c in _transitions(weights)
@@ -223,21 +243,6 @@ def _combine(genus: int, weights: tuple[int, ...], children, cache) -> Fraction:
     return Fraction(numerator, common * scale)
 
 
-def _seed(genus: int, lam: int, weights: tuple[int, ...]) -> Fraction | None:
-    """The closed form of a seed; None for any other key."""
-    if genus == 1 and lam == 1 and len(weights) == 1:
-        return Fraction(weights[0] * weights[0] - 1, 24)
-    if genus == 0 and lam == 0 and len(weights) == 2:
-        return _ONE
-    return None
-
-
-def _undefined(key: CycleKey) -> UndefinedExponentError:
-    return UndefinedExponentError(
-        f"undefined integrand exponent {key.exponent} for {key}"
-    )
-
-
 def step_value(key: CycleKey, cache: dict[CycleKey, Fraction]) -> Fraction:
     """The value of ``key`` from one step over its children's values in ``cache``.
 
@@ -246,15 +251,12 @@ def step_value(key: CycleKey, cache: dict[CycleKey, Fraction]) -> Fraction:
     child; a key with nonpositive psi exponent that is neither vanishing nor
     a seed raises ``UndefinedExponentError``.
     """
-    genus, lam, weights = key
     if _vanishes(key):
         return _ZERO
-    value = _seed(genus, lam, weights)
-    if value is None:
-        if key.exponent <= 0:
-            raise _undefined(key)
-        value = _combine(genus, weights, _children(genus, lam, weights), cache)
-    return value
+    step = _step(*key)
+    if isinstance(step, list):
+        return _combine(key.genus, key.weights, step, cache)
+    return step
 
 
 def _evaluate(key: CycleKey, cache: dict[CycleKey, Fraction]) -> Fraction:
@@ -273,13 +275,10 @@ def _evaluate(key: CycleKey, cache: dict[CycleKey, Fraction]) -> Fraction:
         if children is not None:
             value = _combine(genus, weights, children, cache)
         else:
-            value = _seed(genus, lam, weights)
-            if value is None:
-                if 2 * genus + len(weights) - 2 - lam <= 0:
-                    raise _undefined(CycleKey(genus, lam, weights))
-                children = _children(genus, lam, weights)
-                stack.append((top, children))
-                stack.extend((c, None) for _, c in children if c not in cache)
+            value = _step(genus, lam, weights)
+            if isinstance(value, list):
+                stack.append((top, value))
+                stack.extend((c, None) for _, c in value if c not in cache)
                 continue
         top = CycleKey(genus, lam, weights)
         previous = cache.setdefault(top, value)
@@ -308,7 +307,13 @@ def save_cache(cache: dict[CycleKey, Fraction], path: str | os.PathLike) -> None
 
 
 def load_cache(path: str | os.PathLike) -> dict[CycleKey, Fraction]:
-    """Parse a cache file, rejecting any line that fails strict validation."""
+    """Parse a cache file, rejecting any line that fails strict validation.
+
+    Besides malformed lines, entries that no evaluation writes are refused:
+    an index outside 0..genus (such values vanish and are never stored), and
+    a nonpositive psi exponent on a key that is not a seed (undefined).
+    Evaluation trusts every loaded entry, so neither may reach it.
+    """
     cache: dict[CycleKey, Fraction] = {}
     with open(path, "r", encoding="ascii") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -323,11 +328,18 @@ def load_cache(path: str | os.PathLike) -> dict[CycleKey, Fraction]:
                 lam = int(fields[1])
                 weights = tuple(map(int, fields[2].split(",")))
                 value = parse_rational(fields[3])
+                key = canonical_key(genus, lam, weights)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            key = canonical_key(genus, lam, weights)
+            if not 0 <= lam <= genus:
+                raise ValueError(f"{path}:{lineno}: lambda {lam} outside 0..{genus}")
             if key.weights != weights:
                 raise ValueError(f"{path}:{lineno}: weights are not sorted")
+            if key.exponent <= 0 and _seed(*key) is None:
+                raise ValueError(
+                    f"{path}:{lineno}: undefined integrand exponent"
+                    f" {key.exponent} for {key}"
+                )
             previous = cache.setdefault(key, value)
             if previous is not value and previous != value:
                 raise ValueError(f"{path}:{lineno}: conflicting duplicate entry")

@@ -65,9 +65,9 @@ class TruncatedSeries:
     (anything else, floats included, is refused with ``TypeError``), and
     instances are immutable after construction. Products, reciprocals and
     logarithms accumulate each coefficient as one integer numerator over a
-    common denominator, then reduce it once. Binary operations insist on
-    equal order bounds: silently mixing truncation orders would make "exact
-    modulo t^N" meaningless. Reciprocals need a nonzero constant term,
+    common denominator, then reduce it once. Products insist on equal order
+    bounds: silently mixing truncation orders would make "exact modulo t^N"
+    meaningless. Reciprocals need a nonzero constant term,
     ``log`` a constant term of 1.
     """
 
@@ -93,12 +93,6 @@ class TruncatedSeries:
             )
         return self.coefficients[power]
 
-    def _require_same_bound(self, other: "TruncatedSeries") -> None:
-        if self.order_bound != other.order_bound:
-            raise ValueError(
-                f"mismatched order bounds: {self.order_bound} vs {other.order_bound}"
-            )
-
     def __eq__(self, other: object):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -114,15 +108,6 @@ class TruncatedSeries:
         inside = ", ".join(format_rational(c) for c in self.coefficients)
         return f"TruncatedSeries([{inside}], order_bound={self.order_bound})"
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._require_same_bound(other)
-        return TruncatedSeries(
-            (a + b for a, b in zip(self.coefficients, other.coefficients)),
-            self.order_bound,
-        )
-
     def _scale(self, scalar) -> "TruncatedSeries":
         factor = Fraction(scalar)
         return TruncatedSeries(
@@ -131,8 +116,9 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
-            self._require_same_bound(other)
             n = self.order_bound
+            if other.order_bound != n:
+                raise ValueError(f"mismatched order bounds: {n} vs {other.order_bound}")
             a, a_den = _over_common_denominator(self.coefficients)
             b, b_den = _over_common_denominator(other.coefficients)
             den = a_den * b_den

@@ -18,32 +18,7 @@ from typing import Iterable
 
 from .cutjoin import CycleKey, canonical_key, cycle_value
 
-__all__ = ["binomial_terms", "hodge_integral", "hodge_table"]
-
-
-def _validated(genus: int, lam: int, aux_weights: Iterable[int]) -> CycleKey:
-    if genus < 1:
-        raise ValueError("genus must be at least 1")
-    if not 0 <= lam <= genus:
-        raise ValueError("lambda index must lie in 0..genus")
-    return canonical_key(genus, lam, aux_weights)
-
-
-def binomial_terms(
-    genus: int, lam: int, aux_weights: Iterable[int] = (1,)
-) -> list[tuple[Fraction, CycleKey]]:
-    """The g+1 signed terms whose sum is (-1)**g * g! times the integral.
-
-    Term j carries sign coefficient (-1)**j * C(g, j) and the cycle key with
-    j unit weights appended to the auxiliary weights.
-    """
-    base = _validated(genus, lam, aux_weights)
-    terms = []
-    for j in range(genus + 1):
-        coefficient = Fraction((-1) ** j * math.comb(genus, j))
-        key = canonical_key(genus, lam, base.weights + (1,) * j)
-        terms.append((coefficient, key))
-    return terms
+__all__ = ["hodge_integral", "hodge_table"]
 
 
 def hodge_integral(
@@ -52,12 +27,23 @@ def hodge_integral(
     aux_weights: Iterable[int] = (1,),
     cache: dict[CycleKey, Fraction] | None = None,
 ) -> Fraction:
-    """Exact value of the integral of psi**(3g-2-i) lambda_i at genus g."""
+    """Exact value of the integral of psi**(3g-2-i) lambda_i at genus g.
+
+    (-1)**g * g! times the integral is the sum over j = 0..g of
+    (-1)**j * C(g, j) times the cycle value with j unit weights appended to
+    the auxiliary weights.
+    """
+    if genus < 1:
+        raise ValueError("genus must be at least 1")
+    if not 0 <= lam <= genus:
+        raise ValueError("lambda index must lie in 0..genus")
+    aux = canonical_key(genus, lam, aux_weights).weights
     if cache is None:
         cache = {}
     signed_sum = Fraction(0)
-    for coefficient, key in binomial_terms(genus, lam, aux_weights):
-        signed_sum += coefficient * cycle_value(key, cache)
+    for j in range(genus + 1):
+        key = canonical_key(genus, lam, aux + (1,) * j)
+        signed_sum += (-1) ** j * math.comb(genus, j) * cycle_value(key, cache)
     return signed_sum * Fraction((-1) ** genus, math.factorial(genus))
 
 

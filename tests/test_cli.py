@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from hodgetrees.cli import main
-from hodgetrees.cutjoin import canonical_key, load_cache, save_cache
+from hodgetrees.cutjoin import canonical_key, load_cache, save_cache, step_value
 from hodgetrees.exact_arith import format_rational
-from hodgetrees.hodge import hodge_table
+from hodgetrees.hodge import hodge_integral, hodge_table
 from hodgetrees.trees import (
     canonical_encoding,
     count_trees,
@@ -308,13 +308,31 @@ class TestMemoAudit:
         "line, rhs",
         [
             ("1\t1\t3\t1/2\n", "1/3"),  # a seed against its closed form
-            ("1\t2\t3\t1/2\n", "0"),  # a vanishing entry
-            ("0\t0\t5\t1\n", "undefined"),
+            ("1\t2\t3\t1/2\n", "0"),  # vanishes, so evaluation never stores it
         ],
     )
     def test_entries_without_children(self, capsys, tmp_path, line, rhs):
-        code, out, _ = self.audit(capsys, tmp_path, line)
-        assert code == 1 and out.endswith(f"lhs={line.split()[-1]} rhs={rhs}\n")
+        genus, lam, weights, lhs = line.split()
+        key = canonical_key(int(genus), int(lam), tuple(map(int, weights.split(","))))
+        assert step_value(key, {}) == Fraction(rhs)  # reads no child
+        code, out, err = self.audit(capsys, tmp_path, line)
+        if key.lam <= key.genus:
+            assert code == 1 and out.endswith(f"lhs={lhs} rhs={rhs}\n")
+        else:  # the load refuses it before the audit compares it with 0
+            path = tmp_path / "memo.tsv"
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {path}:1: lambda {lam} outside 0..{genus}")
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [("0\t0\t5\t1\n", "undefined integrand exponent -1")],
+    )
+    def test_entries_no_evaluation_writes_are_refused(
+        self, capsys, tmp_path, line, reason
+    ):
+        code, out, err = self.audit(capsys, tmp_path, line)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {tmp_path / 'memo.tsv'}:1: {reason}")
 
     @pytest.mark.parametrize(
         "argv",
@@ -435,6 +453,27 @@ class TestDeterminismAndCache:
             "--cache", str(path),
         )
         assert code == 2 and out == "" and "error:" in err
+
+    def test_entry_no_evaluation_writes_is_refused(self, capsys, tmp_path):
+        # Without the file this query is undefined (exit 2); the entry must
+        # not turn it into a value.
+        path = tmp_path / "memo.tsv"
+        path.write_text("0\t0\t5\t7\n")
+        code, out, err = run(
+            capsys, "w", "--g", "0", "--lambda", "0", "--weights", "5",
+            "--cache", str(path),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}:1: undefined integrand exponent")
+
+    def test_table_memo_still_loads(self, capsys, tmp_path, table_8_memo):
+        path = tmp_path / "memo.tsv"
+        path.write_text(table_8_memo, encoding="ascii")
+        code, out, _ = run(
+            capsys, "integral", "--g", "8", "--lambda", "3", "--cache", str(path)
+        )
+        assert code == 0 and out == f"{format_rational(hodge_integral(8, 3))}\n"
+        assert path.read_text(encoding="ascii") == table_8_memo
 
 
 class TestErrorPaths:

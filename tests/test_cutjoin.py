@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -289,7 +290,7 @@ class TestAgainstReferenceEvaluation:
                 scale = 12 * total * (2 * genus + len(weights) - 1)
                 mapped = sorted(
                     (CycleKey(*child), Fraction(c, scale))
-                    for c, child in cutjoin._children(genus, lam, k.weights)
+                    for c, child in cutjoin._step(genus, lam, k.weights)
                 )
                 assert [(c, child) for child, c in mapped] == _reference_terms(k), k
 
@@ -432,6 +433,21 @@ class TestCachePersistence:
         path = tmp_path / "bad.tsv"
         path.write_text(line + "\n")
         with pytest.raises(ValueError):
+            load_cache(path)
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("1\t2\t3\t1/2", "lambda 2 outside 0..1"),
+            ("2\t-1\t1,1\t0", "lambda -1 outside 0..2"),
+            ("-1\t0\t1\t0", "genus must be nonnegative"),
+            ("0\t0\t5\t7", "undefined integrand exponent -1"),
+        ],
+    )
+    def test_rejects_entries_no_evaluation_writes(self, tmp_path, line, reason):
+        path = tmp_path / "bad.tsv"
+        path.write_text("1\t1\t3\t1/3\n0\t0\t1,2\t1\n" + line + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:3: {reason}')}"):
             load_cache(path)
 
     def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):

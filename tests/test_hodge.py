@@ -1,35 +1,57 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from hodgetrees.cutjoin import canonical_key
-from hodgetrees.hodge import binomial_terms, hodge_integral, hodge_table
+import hodgetrees.hodge as hodge
+from hodgetrees.cutjoin import canonical_key, cycle_value
+from hodgetrees.hodge import hodge_integral, hodge_table
 from hodgetrees.oracle import gf_expand, oracle_integral
 
 
+@pytest.fixture
+def queried(monkeypatch):
+    """The cycle keys ``hodge_integral`` reads, through the ``hodge`` global."""
+    keys = []
+
+    def recording(key, cache=None):
+        keys.append(key)
+        return cycle_value(key, cache)
+
+    monkeypatch.setattr(hodge, "cycle_value", recording)
+    return keys
+
+
+def signed_combination(genus, lam, terms):
+    """(-1)**g / g! times the sum of coefficient * cycle value over ``terms``."""
+    total = sum(c * cycle_value(canonical_key(genus, lam, w)) for c, w in terms)
+    return total * Fraction((-1) ** genus, math.factorial(genus))
+
+
 class TestBinomialTerms:
-    def test_genus_one_weight_two(self):
-        assert binomial_terms(1, 1, (2,)) == [
-            (Fraction(1), canonical_key(1, 1, (2,))),
-            (Fraction(-1), canonical_key(1, 1, (1, 2))),
-        ]
+    def test_genus_one_weight_two(self, queried):
+        terms = [(1, (2,)), (-1, (1, 2))]
+        assert hodge_integral(1, 1, (2,)) == signed_combination(1, 1, terms)
+        assert queried == [canonical_key(1, 1, w) for _, w in terms]
 
-    def test_genus_two_unit_weight(self):
-        assert binomial_terms(2, 1, (1,)) == [
-            (Fraction(1), canonical_key(2, 1, (1,))),
-            (Fraction(-2), canonical_key(2, 1, (1, 1))),
-            (Fraction(1), canonical_key(2, 1, (1, 1, 1))),
-        ]
+    def test_genus_two_unit_weight(self, queried):
+        terms = [(1, (1,)), (-2, (1, 1)), (1, (1, 1, 1))]
+        assert hodge_integral(2, 1, (1,)) == signed_combination(2, 1, terms)
+        assert queried == [canonical_key(2, 1, w) for _, w in terms]
 
-    def test_genus_one_index_zero(self):
-        assert binomial_terms(1, 0, (1,)) == [
-            (Fraction(1), canonical_key(1, 0, (1,))),
-            (Fraction(-1), canonical_key(1, 0, (1, 1))),
-        ]
+    def test_genus_one_index_zero(self, queried):
+        terms = [(1, (1,)), (-1, (1, 1))]
+        assert hodge_integral(1, 0, (1,)) == signed_combination(1, 0, terms)
+        assert queried == [canonical_key(1, 0, w) for _, w in terms]
 
-    def test_term_count(self):
+    def test_term_count(self, queried):
         for g in range(1, 5):
-            assert len(binomial_terms(g, g)) == g + 1
+            queried.clear()
+            terms = [
+                ((-1) ** j * math.comb(g, j), (1,) * (j + 1)) for j in range(g + 1)
+            ]
+            assert hodge_integral(g, g) == signed_combination(g, g, terms)
+            assert len(queried) == g + 1
 
 
 class TestIntegrals:

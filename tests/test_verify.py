@@ -146,3 +146,13 @@ def test_readme_default_ranges_match_signatures():
             if param
         )
         assert table[name] == expected, name
+
+
+def test_readme_library_block_runs_on_the_package_api():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    library = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    imported = re.search(r"from hodgetrees import \(([^)]*)\)", block).group(1)
+    names = [name.strip() for name in imported.split(",") if name.strip()]
+    assert hodgetrees.__all__ == names + ["__version__"]
