@@ -24,13 +24,7 @@ from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from .cutjoin import (
-    UndefinedExponentError,
-    canonical_key,
-    cycle_value,
-    load_cache,
-    save_cache,
-)
+from .cutjoin import canonical_key, cycle_value, load_cache, save_cache
 from .exact_arith import bernoulli, format_rational
 from .hodge import hodge_integral, hodge_table
 from .trees import count_trees, tree_sum, weighted_encodings
@@ -270,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "verify":
             return _run_verify(args)
-    except (UndefinedExponentError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # UndefinedExponentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # RecursionError is a RuntimeError too

@@ -8,7 +8,9 @@ the JSON emitters and the cache files), dense truncated power series with
 exact coefficients, and a growing table of Bernoulli numbers. Series
 products, reciprocals and logarithms add up their terms as integers over a
 common denominator and reduce once per coefficient, so every value they
-return is still a reduced ``Fraction``.
+return is still a reduced ``Fraction``. Reciprocals and logarithms share
+one power-series division: the reciprocal divides 1 by the series, and the
+logarithm divides the series' derivative by it and integrates the quotient.
 """
 
 from __future__ import annotations
@@ -108,12 +110,6 @@ class TruncatedSeries:
         inside = ", ".join(format_rational(c) for c in self.coefficients)
         return f"TruncatedSeries([{inside}], order_bound={self.order_bound})"
 
-    def _scale(self, scalar) -> "TruncatedSeries":
-        factor = Fraction(scalar)
-        return TruncatedSeries(
-            (factor * a for a in self.coefficients), self.order_bound
-        )
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             n = self.order_bound
@@ -127,49 +123,27 @@ class TruncatedSeries:
                 n,
             )
         if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
+            scaled = (other * a for a in self.coefficients)
+            return TruncatedSeries(scaled, self.order_bound)
         return NotImplemented
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse modulo t**order_bound."""
-        lead = self.coefficients[0]
-        if lead == 0:
+        if self.coefficients[0] == 0:
             raise ValueError("series with zero constant term is not invertible")
         n = self.order_bound
-        a, _ = _over_common_denominator(self.coefficients)
-        out = [1 / lead]
-        # out[j] == nums[j] / den for every j computed so far
-        nums, den = [out[0].numerator], out[0].denominator
-        for m in range(1, n):
-            # a_0 * r_m = -sum_{k=1..m} a_k * r_{m-k}
-            value = Fraction(-sum(map(mul, a[1 : m + 1], nums[::-1])), a[0] * den)
-            out.append(value)
-            nums, den = _append_over(nums, den, value)
-        return TruncatedSeries(out, n)
+        a, den = _over_common_denominator(self.coefficients)
+        return TruncatedSeries(_divide([den] + [0] * (n - 1), a), n)
 
     def log(self) -> "TruncatedSeries":
         """Formal logarithm; requires constant term 1."""
         if self.coefficients[0] != 1:
             raise ValueError("series logarithm requires constant term 1")
         n = self.order_bound
-        a, _ = _over_common_denominator(self.coefficients)  # a[0] is the denominator
-        out = [_ZERO]
-        # k * out[k] == weighted[k] / den for every k computed so far
-        weighted, den = [0], 1
-        for m in range(1, n):
-            # m*l_m = m*a_m - sum_{k=1..m-1} k*l_k*a_{m-k}, as a_0 = 1
-            value = Fraction(
-                m * a[m] * den - sum(map(mul, weighted[1:], a[m - 1 : 0 : -1])),
-                m * a[0] * den,
-            )
-            out.append(value)
-            weighted, den = _append_over(weighted, den, m * value)
-        return TruncatedSeries(out, n)
+        a, _ = _over_common_denominator(self.coefficients)
+        # log(a)' = a'/a, integrated term by term
+        quotient = _divide([m * a[m] for m in range(1, n)], a)
+        return TruncatedSeries([_ZERO] + [q / m for m, q in enumerate(quotient, 1)], n)
 
 
 def _exact(value) -> Fraction:
@@ -196,6 +170,23 @@ def _append_over(nums: list[int], den: int, value: Fraction) -> tuple[list[int],
         nums = [x * factor for x in nums]
     nums.append(value.numerator * (grown // value.denominator))
     return nums, grown
+
+
+def _divide(dividend: list[int], divisor: list[int]) -> list[Fraction]:
+    """The first len(dividend) coefficients of dividend/divisor.
+
+    Both are integer numerators over one common denominator, which cancels.
+    Each quotient coefficient solves d_0 q_m = p_m - sum_{k=1..m} d_k q_{m-k};
+    the q found so far are kept as integers over a running lcm.
+    """
+    out: list[Fraction] = []
+    nums, den = [], 1  # out[j] == nums[j] / den for every j computed so far
+    for m, p in enumerate(dividend):
+        below = sum(map(mul, divisor[m:0:-1], nums))
+        value = Fraction(p * den - below, divisor[0] * den)
+        out.append(value)
+        nums, den = _append_over(nums, den, value)
+    return out
 
 
 _bernoulli_lock = threading.Lock()

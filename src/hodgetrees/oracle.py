@@ -39,8 +39,6 @@ def sine_kernel(order_bound: int) -> TruncatedSeries:
     Built as the reciprocal of sin(t/2)/(t/2), whose t**(2m) coefficient is
     (-1)**m / (4**m * (2m+1)!); the kernel is even with constant term 1.
     """
-    if order_bound < 1:
-        raise ValueError("order bound must be a positive integer")
     coefficients = [Fraction(0)] * order_bound
     for m in range(0, (order_bound + 1) // 2):
         coefficients[2 * m] = Fraction(

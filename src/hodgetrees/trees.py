@@ -28,8 +28,9 @@ leaf descendants, (m**3 - m)/12 by its step label, all times an overall
 materializing trees, by aggregating histories over the multiset of root
 leaf counts; the per-step factors depend only on those counts, so the
 aggregation is an exact regrouping of the per-tree sum. The aggregate is
-an integer recursion: each state's sum is scaled by 12**caps * step!,
-which clears every step denominator.
+one forward pass over those states, in layers of equal step counter, with
+integer sums: a state's partial weight is scaled by 12**(caps made) *
+top!/step!, which clears every step denominator. It has no depth limit.
 """
 
 from __future__ import annotations
@@ -148,25 +149,27 @@ def enumerate_trees(genus: int, leaves: int) -> list[DecoratedTree]:
 def weighted_encodings(genus: int, leaves: int) -> list[tuple[str, int, int]]:
     """(encoding, numerator, denominator) of each tree's weight, by encoding.
 
-    The walk of ``iter_encoded_trees`` without tree objects: a root is its
-    encoding and leaf count, and a history multiplies up its weight's
-    numerator and denominator, left unreduced. No tree is validated.
+    The walk of ``iter_encoded_trees`` without tree objects or recursion: a
+    root is its encoding and leaf count, and a history on the stack carries
+    its weight's numerator and denominator, unreduced. No tree is validated.
     """
     _check_parameters(genus, leaves)
     rows: list[tuple[str, int, int]] = []
-
+    start = [(f"L{i}", 1) for i in range(1, leaves + 1)]
+    stack = [(start, 2 * genus + leaves - 1, genus, 1, leaves ** (leaves + genus - 1))]
     # step == len(roots) - 1 + 2 * budget throughout: at step 1 two roots
     # and no caps are left, so the last join writes its row directly.
-    def walk(roots, step, budget, numer, denom):
+    while stack:
+        roots, step, budget, numer, denom = stack.pop()
         if step <= 1:
             if step == 0:
                 rows.append((roots[0][0], numer, denom))
-                return
+                continue
             (enc_i, size_i), (enc_j, size_j) = roots
             if enc_j < enc_i:
                 enc_i, enc_j = enc_j, enc_i
             rows.append((f"B1({enc_i},{enc_j})", numer * (size_i + size_j), denom))
-            return
+            continue
         for i, (enc_i, size_i) in enumerate(roots):
             for j in range(i + 1, len(roots)):
                 enc_j, size_j = roots[j]
@@ -177,66 +180,59 @@ def weighted_encodings(genus: int, leaves: int) -> list[tuple[str, int, int]]:
                     rest[i] = (f"B{step}({enc_i},{enc_j})", size)
                 else:
                     rest[i] = (f"B{step}({enc_j},{enc_i})", size)
-                walk(rest, step - 1, budget, numer * size, denom * step)
+                stack.append((rest, step - 1, budget, numer * size, denom * step))
             if budget > 0 and size_i >= 2:
                 rest = roots.copy()
                 rest[i] = (f"U{step}({enc_i})", size_i)
                 cap = size_i * size_i * size_i - size_i
-                walk(rest, step - 2, budget - 1, numer * cap, denom * 12 * step)
+                stack.append((rest, step - 2, budget - 1, numer * cap, denom * 12 * step))
 
-    start = [(f"L{i}", 1) for i in range(1, leaves + 1)]
-    walk(start, 2 * genus + leaves - 1, genus, 1, leaves ** (leaves + genus - 1))
     rows.sort(key=itemgetter(0))
     return rows
 
 
-def _aggregate(sizes: tuple[int, ...], budget: int, memo: dict) -> tuple[int, int]:
-    """(number of histories, U times their weight sum) from this state.
+def _aggregate(genus: int, leaves: int) -> tuple[int, int]:
+    """(number of histories, 12**genus * top! times their weight sum).
 
-    ``sizes`` is the sorted multiset of root leaf counts, ``budget`` the
-    number of one-child caps still owed. The step counter is determined:
-    one join per surplus root plus two steps per cap. Scaling the weight sum
-    by U = 12**budget * step! makes it an integer: a join of a + b leaves
-    adds (a + b) * U(child) per position pair, and a cap of a root with m
-    leaves adds (m**3 - m) * (step - 1) * U(child).
+    One forward pass over the states (sorted root leaf counts, caps still
+    owed), in layers of equal step counter: one join per surplus root plus
+    two steps per cap. Each state carries its number of histories and its
+    partial weight scaled by 12**(caps made) * top!/step!, an integer: a
+    join of a + b leaves adds (a + b) times it per position pair to the
+    layer one step below, and a cap of a root with m leaves adds
+    (m**3 - m) * (step - 1) times it to the layer two steps below. A layer
+    is dropped once expanded; the walk ends at ((leaves,), 0), step 0.
     """
-    if len(sizes) == 1 and budget == 0:
-        return 1, 1
-    state = (sizes, budget)
-    hit = memo.get(state)
-    if hit is not None:
-        return hit
-    step = len(sizes) - 1 + 2 * budget
-    counts = Counter(sizes)
-    histories = scaled = 0
-    for pairs, joined, merged in _multiset_joins(sizes, counts):
-        below, below_scaled = _aggregate(merged, budget, memo)
-        histories += pairs * below
-        scaled += pairs * joined * below_scaled
-    if budget > 0:
-        eligible = caps = 0
-        for a, multiplicity in counts.items():
-            if a >= 2:
-                eligible += multiplicity
-                caps += multiplicity * (a * a * a - a)
-        if eligible:
-            below, below_scaled = _aggregate(sizes, budget - 1, memo)
-            histories += eligible * below
-            scaled += caps * (step - 1) * below_scaled
-    memo[state] = found = (histories, scaled)
-    return found
+    top = 2 * genus + leaves - 1
+    layers = {top: {((1,) * leaves, genus): [1, 1]}}
+    for step in range(top, 0, -1):
+        joins = layers.setdefault(step - 1, {})
+        for (sizes, caps), (histories, scaled) in layers.pop(step, {}).items():
+            counts = Counter(sizes)
+            for pairs, joined, merged in _multiset_joins(sizes, counts):
+                below = joins.setdefault((merged, caps), [0, 0])
+                below[0] += pairs * histories
+                below[1] += pairs * joined * scaled
+            eligible = len(sizes) - counts[1]  # roots with at least two leaves
+            if caps and eligible:
+                weight = sum(m * (a * a * a - a) for a, m in counts.items())
+                capped = layers.setdefault(step - 2, {})
+                below = capped.setdefault((sizes, caps - 1), [0, 0])
+                below[0] += eligible * histories
+                below[1] += weight * (step - 1) * scaled
+    return tuple(layers.get(0, {}).get(((leaves,), 0), (0, 0)))
 
 
 def count_trees(genus: int, leaves: int) -> int:
     """Number of (genus, leaves) decorated trees, i.e. of build histories."""
     _check_parameters(genus, leaves)
-    return _aggregate((1,) * leaves, genus, {})[0]
+    return _aggregate(genus, leaves)[0]
 
 
 def tree_sum(genus: int, leaves: int) -> Fraction:
     """Exact sum of tree weights over all (genus, leaves) decorated trees."""
     _check_parameters(genus, leaves)
-    scaled = _aggregate((1,) * leaves, genus, {})[1]
+    scaled = _aggregate(genus, leaves)[1]
     top = 2 * genus + leaves - 1
     return Fraction(scaled, 12**genus * factorial(top) * leaves ** (leaves + genus - 1))
 

@@ -71,7 +71,8 @@ def _report(check: str, range_text: str, cases) -> CheckReport:
 
     ``instances`` counts the cases compared, the failing one included. Both
     sides are rationals, except that a right side given as text (a reason
-    no value was derived) is a mismatch and is reported as it is.
+    no value was derived) is a mismatch and is reported as it is. A check
+    that compares no case is refused with ``ValueError``, not passed.
     """
     instances = 0
     for params, lhs, rhs in cases:
@@ -83,6 +84,8 @@ def _report(check: str, range_text: str, cases) -> CheckReport:
                 "rhs": rhs if isinstance(rhs, str) else format_rational(rhs),
             }
             return CheckReport(check, range_text, False, instances, counterexample)
+    if not instances:
+        raise ValueError(f"{check} range {range_text} has no instances to compare")
     return CheckReport(check, range_text, True, instances)
 
 

@@ -88,6 +88,20 @@ class TestTrees:
         code, out, _ = run(capsys, "trees", "enumerate", "--g", "1", "--n", "2")
         assert code == 0 and out == "count 1\nU2(B3(L1,L2))\t1/24\n"
 
+    def test_deep_sum_and_listing(self, capsys):
+        # 1,000 caps above one join: no depth limit on either the sum or the
+        # listing, and the one tree's weight is the top-lambda cycle value.
+        argv = ("w", "--g", "1000", "--lambda", "1000", "--weights", "1,1")
+        code, value, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, "trees", "sum", "--g", "1000", "--n", "2")
+        assert code == 0 and out == value
+        encoding = "B2001(L1,L2)"
+        for step in range(2000, 0, -2):
+            encoding = f"U{step}({encoding})"
+        code, out, _ = run(capsys, "trees", "enumerate", "--g", "1000", "--n", "2")
+        assert code == 0 and out == f"count 1\n{encoding}\t{value}"
+
     def test_enumerate_json(self, capsys):
         code, out, _ = run(
             capsys, "trees", "enumerate", "--g", "2", "--n", "3", "--format", "json"
@@ -345,6 +359,12 @@ class TestMemoAudit:
     def test_cache_goes_with_memo_only(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_empty_memo_is_refused(self, capsys, tmp_path):
+        # an empty memo compares nothing, so it cannot pass the audit
+        code, out, err = self.audit(capsys, tmp_path, "")
+        assert code == 2 and out == ""
+        assert err == f"error: memo range cache={tmp_path / 'memo.tsv'} has no instances to compare\n"
 
     def test_unreadable_file_is_a_usage_error(self, capsys, tmp_path):
         code, out, err = self.audit(capsys, tmp_path, "not a cache line\n")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hodgetrees.cutjoin import _multiset_joins
+from hodgetrees.cutjoin import _multiset_joins, canonical_key, cycle_value
 from hodgetrees.trees import (
     Binary,
     Leaf,
@@ -214,6 +214,13 @@ class TestIntegerAggregate:
     def test_matches_fraction_reference(self, genus, leaves):
         assert count_trees(genus, leaves) == reference_count(genus, leaves)
         assert tree_sum(genus, leaves) == reference_sum(genus, leaves)
+
+    @pytest.mark.parametrize("genus", [991, 1000])
+    def test_deep_cap_chain(self, genus):
+        # The one (g, 2) history joins the two leaves and then caps g times,
+        # a chain of states deeper than Python's default recursion limit.
+        assert count_trees(genus, 2) == 1
+        assert tree_sum(genus, 2) == cycle_value(canonical_key(genus, genus, (1, 1)))
 
 
 class TestWeightedEncodings:

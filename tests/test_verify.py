@@ -50,6 +50,21 @@ class TestChecksPass:
         with pytest.raises(ValueError):
             check_choice_independence(2, ())
 
+    @pytest.mark.parametrize(
+        "check, args",
+        [
+            (check_choice_independence, (0,)),
+            (check_bernoulli_identity, (0, 3)),
+            (check_bernoulli_identity, (3, 0)),
+            (check_genus0, (0,)),
+            (check_tree_identity, (0, 1)),  # (0, 1) is skipped, nothing is left
+            (check_tree_identity, (3, 0)),
+        ],
+    )
+    def test_empty_range_is_refused(self, check, args):
+        with pytest.raises(ValueError, match="has no instances to compare"):
+            check(*args)
+
 
 class TestFailureReporting:
     def test_first_counterexample_is_reported(self, monkeypatch):
