@@ -51,18 +51,22 @@ def _weights(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("expected a nonnegative integer")
+def _at_least(text: str, low: int, kind: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer")
     return value
+
+
+def _nonnegative(text: str) -> int:
+    return _at_least(text, 0, "nonnegative")
 
 
 def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer")
-    return value
+    return _at_least(text, 1, "positive")
 
 
 def _build_parser() -> argparse.ArgumentParser:

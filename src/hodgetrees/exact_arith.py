@@ -162,16 +162,6 @@ def _over_common_denominator(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _append_over(nums: list[int], den: int, value: Fraction) -> tuple[list[int], int]:
-    """Add ``value`` to numerators over ``den``; returns them over the new lcm."""
-    grown = math.lcm(den, value.denominator)
-    if grown != den:
-        factor = grown // den
-        nums = [x * factor for x in nums]
-    nums.append(value.numerator * (grown // value.denominator))
-    return nums, grown
-
-
 def _divide(dividend: list[int], divisor: list[int]) -> list[Fraction]:
     """The first len(dividend) coefficients of dividend/divisor.
 
@@ -185,7 +175,12 @@ def _divide(dividend: list[int], divisor: list[int]) -> list[Fraction]:
         below = sum(map(mul, divisor[m:0:-1], nums))
         value = Fraction(p * den - below, divisor[0] * den)
         out.append(value)
-        nums, den = _append_over(nums, den, value)
+        grown = math.lcm(den, value.denominator)
+        if grown != den:
+            factor = grown // den
+            nums = [x * factor for x in nums]
+            den = grown
+        nums.append(value.numerator * (den // value.denominator))
     return out
 
 

@@ -107,37 +107,33 @@ def _check_parameters(genus: int, leaves: int) -> None:
 def iter_encoded_trees(genus: int, leaves: int) -> Iterator[tuple[str, DecoratedTree]]:
     """Yield (encoding, tree) for every (genus, leaves) decorated tree.
 
-    One tree per build history; encodings come out of the walk itself, so
-    no re-traversal is needed when both are wanted.
+    One tree per build history, walked with an explicit stack and no depth
+    limit; encodings come out of the walk itself, so none is re-traversed.
     """
     _check_parameters(genus, leaves)
-    start = [(Leaf(i), f"L{i}", 1) for i in range(1, leaves + 1)]
-    yield from _walk(start, 2 * genus + leaves - 1, genus)
-
-
-def _walk(roots, step, budget):
-    if step == 0:
-        if len(roots) == 1 and budget == 0:
-            yield roots[0][1], roots[0][0]
-        return
-    m = len(roots)
-    for i in range(m):
-        node_i, enc_i, size_i = roots[i]
-        for j in range(i + 1, m):
-            node_j, enc_j, size_j = roots[j]
-            if enc_i <= enc_j:
-                joined = (Binary(step, node_i, node_j), f"B{step}({enc_i},{enc_j})")
-            else:
-                joined = (Binary(step, node_j, node_i), f"B{step}({enc_j},{enc_i})")
-            rest = roots[:i] + roots[i + 1 : j] + roots[j + 1 :]
-            rest.append((joined[0], joined[1], size_i + size_j))
-            yield from _walk(rest, step - 1, budget)
-    if budget > 0 and step >= 2:
-        for i in range(m):
-            node_i, enc_i, size_i = roots[i]
-            if size_i >= 2:
-                capped = (Unary(step, node_i), f"U{step}({enc_i})", size_i)
-                yield from _walk(roots[:i] + [capped] + roots[i + 1 :], step - 2, budget - 1)
+    start = [(f"L{i}", Leaf(i), 1) for i in range(1, leaves + 1)]
+    stack = [(start, 2 * genus + leaves - 1, genus)]
+    # step == len(roots) - 1 + 2 * budget throughout: step 0 leaves one root
+    # and no caps, so nothing more is pushed, and a cap owed means step >= 2.
+    while stack:
+        roots, step, budget = stack.pop()
+        if step == 0:
+            yield roots[0][0], roots[0][1]
+        for i, (enc_i, tree_i, size_i) in enumerate(roots):
+            for j in range(i + 1, len(roots)):
+                enc_j, tree_j, size_j = roots[j]
+                rest = roots.copy()  # roots are a multiset: their order is free
+                del rest[j]
+                if enc_i <= enc_j:
+                    joined = f"B{step}({enc_i},{enc_j})", Binary(step, tree_i, tree_j)
+                else:
+                    joined = f"B{step}({enc_j},{enc_i})", Binary(step, tree_j, tree_i)
+                rest[i] = (*joined, size_i + size_j)
+                stack.append((rest, step - 1, budget))
+            if budget > 0 and size_i >= 2:
+                rest = roots.copy()
+                rest[i] = (f"U{step}({enc_i})", Unary(step, tree_i), size_i)
+                stack.append((rest, step - 2, budget - 1))
 
 
 def enumerate_trees(genus: int, leaves: int) -> list[DecoratedTree]:
@@ -149,8 +145,8 @@ def enumerate_trees(genus: int, leaves: int) -> list[DecoratedTree]:
 def weighted_encodings(genus: int, leaves: int) -> list[tuple[str, int, int]]:
     """(encoding, numerator, denominator) of each tree's weight, by encoding.
 
-    The walk of ``iter_encoded_trees`` without tree objects or recursion: a
-    root is its encoding and leaf count, and a history on the stack carries
+    The walk of ``iter_encoded_trees`` without tree objects: a root is its
+    encoding and leaf count, and a history on the stack carries
     its weight's numerator and denominator, unreduced. No tree is validated.
     """
     _check_parameters(genus, leaves)
@@ -280,10 +276,8 @@ def _inspect(tree: DecoratedTree) -> tuple[str | None, Fraction | None]:
         return "leaf labels are not a bijection onto 1..n", None
     if cap_on_leaf:
         return "a one-child vertex sits directly above a leaf", None
-    # Rules 3, 9 and 10 cannot fire for Leaf/Unary/Binary trees, whose shape
-    # and label fill force them; their messages and order are documented.
-    if len(binary) != n - 1:
-        return "two-child vertex count differs from leaf count minus one", None
+    # Unneeded: these shapes always have n - 1 two-child vertices, and the fill
+    # makes the root's least label 1 (two-child root) or 2 (one-child root).
     steps = unary + binary
     used = set(steps)
     if len(used) != len(steps):
@@ -298,10 +292,6 @@ def _inspect(tree: DecoratedTree) -> tuple[str | None, Fraction | None]:
             return "a one-child vertex fails to reserve its skipped slot", None
     if used | {s - 1 for s in unary} != set(range(1, top + 1)):
         return f"used and skipped labels do not fill 1..{top}", None
-    if isinstance(tree, Unary) and tree.step != 2:
-        return "a one-child root must carry step label 2", None
-    if isinstance(tree, Binary) and tree.step != 1:
-        return "a two-child root must carry step label 1", None
     return None, Fraction(numer, denom * n ** (n + g - 1))
 
 

@@ -532,6 +532,30 @@ class TestErrorPaths:
             main(["w", "--g", "1", "--lambda", "1", "--weights", "0,2"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, phrase",
+        [
+            (("integral", "--g", "abc", "--lambda", "1"), "positive"),
+            (("w", "--g", "two", "--lambda", "0", "--weights", "1"), "nonnegative"),
+            (("trees", "sum", "--g", "1", "--n", "x"), "positive"),
+            (("bernoulli", "--m", "1.5"), "nonnegative"),
+            (("table", "--max-g", ""), "positive"),
+            (("bernoulli", "--m", "4", "--decimal", "ten"), "positive"),
+        ],
+        ids=["integral-g", "w-g", "n", "m", "max-g", "decimal"],
+    )
+    def test_non_integer_argument(self, capsys, argv, phrase):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert excinfo.value.code == 2
+        assert f"expected a {phrase} integer" in err
+        assert "_positive" not in err and "_nonnegative" not in err
+
+    def test_signed_integer_argument(self, capsys):
+        code, out, _ = run(capsys, "integral", "--g", "+2", "--lambda", "1")
+        assert code == 0 and out == "1/480\n"
+
     def test_out_of_range_lambda(self, capsys):
         code, _, err = run(capsys, "integral", "--g", "1", "--lambda", "2")
         assert code == 2 and "error:" in err

@@ -1,4 +1,6 @@
+import itertools
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -54,6 +56,14 @@ class TestCounts:
         assert [e for e, _ in pairs] == [canonical_encoding(t) for _, t in pairs]
         assert [t for _, t in pairs] == enumerate_trees(2, 3)
 
+    def test_deep_walk(self):
+        # 2000 steps deep, past the default recursion limit of 1000
+        assert sys.getrecursionlimit() <= 1000
+        (tree,) = enumerate_trees(1000, 2)
+        assert tree.step == 2 and isinstance(tree, Unary)
+        ((encoding, _),) = iter_encoded_trees(1000, 2)
+        assert encoding == weighted_encodings(1000, 2)[0][0]
+
     @pytest.mark.parametrize("genus, leaves", [(-1, 2), (1, 0)])
     def test_rejects_bad_parameters(self, genus, leaves):
         with pytest.raises(ValueError):
@@ -78,6 +88,17 @@ class TestEncoding:
         encodings = [canonical_encoding(t) for t in enumerate_trees(2, 3)]
         assert encodings == sorted(encodings)
         assert len(set(encodings)) == 9
+
+    def test_first_child_has_the_smaller_encoding(self):
+        # enumerate_trees builds each two-child vertex in encoding order
+        stack = enumerate_trees(1, 4) + enumerate_trees(0, 5)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Unary):
+                stack.append(node.child)
+            elif isinstance(node, Binary):
+                assert canonical_encoding(node.first) < canonical_encoding(node.second)
+                stack.extend((node.first, node.second))
 
     def test_histories_collide_nowhere_small(self):
         for genus in range(4):
@@ -332,14 +353,12 @@ class TestValidation:
         assert validate_tree(mutated) is not None
 
 
-# One small malformed tree per rule that a tree of Leaf, Unary and Binary
-# vertices can break, in the order validate_tree checks them. Each tree
-# but the step-0 one also breaks the next such rule, so the expected
-# message pins the order. Integer labels that pass the earlier
-# rules always fill 1..2g+n-1, so the fill case needs a label of 3/2.
-# Three rules never fire: such a tree always has one two-child vertex fewer
-# than it has leaves, and once the labels fill 1..2g+n-1 the smallest
-# label, the root's, is 1 for a two-child root and 2 for a one-child root.
+# One small malformed tree per rule of validate_tree, in the order it
+# checks them. Each tree but the step-0 one also breaks the next rule, so
+# the expected message pins the order. Integer labels that pass the earlier
+# rules always fill 1..2g+n-1, so the fill case needs a label of 3/2. No
+# rule counts two-child vertices or checks the root's label: TestAcceptedSet
+# shows on every small tree that these rules accept exactly the walked ones.
 RULE_BREAKERS = [
     (Unary(3, Leaf(2)), "leaf labels are not a bijection onto 1..n"),
     (
@@ -376,3 +395,44 @@ class TestValidationRules:
     def test_rejects_foreign_node(self):
         with pytest.raises(TypeError):
             validate_tree(Binary(1, Leaf(1), "L2"))
+
+
+def _every_tree(labels, caps, top):
+    """Each tree over leaf labels ``labels`` with ``caps`` one-child vertices.
+
+    Step labels range over 1..top independently, decorated or not; the two
+    children of a two-child vertex come in one order only.
+    """
+    if caps == 0 and len(labels) == 1:
+        yield Leaf(labels[0])
+    first, rest = labels[0], labels[1:]
+    for step in range(1, top + 1):
+        if caps:
+            for child in _every_tree(labels, caps - 1, top):
+                yield Unary(step, child)
+        for k in range(len(rest)):  # the second child keeps at least one label
+            for chosen in itertools.combinations(rest, k):
+                other = tuple(x for x in rest if x not in chosen)
+                for c in range(caps + 1):
+                    for a in _every_tree((first, *chosen), c, top):
+                        for b in _every_tree(other, caps - c, top):
+                            yield Binary(step, a, b)
+
+
+class TestAcceptedSet:
+    # every (genus, leaves) with 2 * genus + leaves - 1 <= 4, and (2, 2)
+    @pytest.mark.parametrize(
+        "genus, leaves",
+        [(g, n) for g in range(3) for n in range(1, 6 - 2 * g)] + [(2, 2)],
+    )
+    def test_validator_accepts_exactly_the_walked_trees(self, genus, leaves):
+        top = 2 * genus + leaves - 1
+        walked = {canonical_encoding(t) for t in enumerate_trees(genus, leaves)}
+        accepted = set()
+        for tree in _every_tree(tuple(range(1, leaves + 1)), genus, top):
+            encoding = canonical_encoding(tree)
+            valid = validate_tree(tree) is None
+            assert valid == (encoding in walked), tree
+            if valid:
+                accepted.add(encoding)
+        assert accepted == walked

@@ -46,10 +46,6 @@ class TestChecksPass:
         assert report.passed
         assert report.instances == 36
 
-    def test_independence_needs_aux(self):
-        with pytest.raises(ValueError):
-            check_choice_independence(2, ())
-
     @pytest.mark.parametrize(
         "check, args",
         [
