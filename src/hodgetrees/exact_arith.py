@@ -46,6 +46,26 @@ def format_rational(value: Fraction | int) -> str:
         return f"{p}" if q == 1 else f"{p}/{q}"
 
 
+# Pieces this short pass int() under any digit limit it can be given: 640 is
+# the least nonzero one that sys.set_int_max_str_digits accepts.
+_PIECE_DIGITS = 640
+
+
+def _long_int(text: str) -> int:
+    """int() of an optionally signed digit string past int()'s digit limit.
+
+    The digits are split in halves until each piece is short, and the pieces
+    combine as ``high * 10**len(low) + low``: subquadratic in the length,
+    where int(Decimal(text)) is quadratic.
+    """
+    if text.startswith("-"):
+        return -_long_int(text[1:])
+    if len(text) <= _PIECE_DIGITS:
+        return int(text)
+    half = len(text) // 2
+    return _long_int(text[:-half]) * 10**half + _long_int(text[-half:])
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical text form, rejecting anything not in lowest terms."""
     if not _RATIONAL_RE.fullmatch(text):
@@ -53,8 +73,8 @@ def parse_rational(text: str) -> Fraction:
     p_text, slash, q_text = text.partition("/")
     try:
         p, q = int(p_text), int(q_text or 1)
-    except ValueError:  # int() of text has a digit limit; Decimal has none
-        p, q = int(Decimal(p_text)), int(Decimal(q_text or 1))
+    except ValueError:  # int() of text has a digit limit; its pieces do not
+        p, q = _long_int(p_text), _long_int(q_text or "1")
     if slash and (q == 1 or math.gcd(p, q) != 1):
         raise ValueError(f"rational not in lowest terms: {text!r}")
     return Fraction(p, q)

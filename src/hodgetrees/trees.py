@@ -153,18 +153,39 @@ def weighted_encodings(genus: int, leaves: int) -> list[tuple[str, int, int]]:
     rows: list[tuple[str, int, int]] = []
     start = [(f"L{i}", 1) for i in range(1, leaves + 1)]
     stack = [(start, 2 * genus + leaves - 1, genus, 1, leaves ** (leaves + genus - 1))]
-    # step == len(roots) - 1 + 2 * budget throughout: at step 1 two roots
-    # and no caps are left, so the last join writes its row directly.
+    # step == len(roots) - 1 + 2 * budget throughout, so the last steps are
+    # finished in place: at step 1 two roots and no caps are left (one join),
+    # and at step 2 either three roots and no caps (two joins, three ways) or
+    # one root of all the leaves and one cap, made only if it has two leaves.
     while stack:
         roots, step, budget, numer, denom = stack.pop()
-        if step <= 1:
+        if step <= 2:
             if step == 0:
                 rows.append((roots[0][0], numer, denom))
-                continue
-            (enc_i, size_i), (enc_j, size_j) = roots
-            if enc_j < enc_i:
-                enc_i, enc_j = enc_j, enc_i
-            rows.append((f"B1({enc_i},{enc_j})", numer * (size_i + size_j), denom))
+            elif step == 1:
+                (enc_i, size_i), (enc_j, size_j) = roots
+                if enc_j < enc_i:
+                    enc_i, enc_j = enc_j, enc_i
+                rows.append((f"B1({enc_i},{enc_j})", numer * (size_i + size_j), denom))
+            elif budget:
+                if leaves >= 2:
+                    cap = leaves * leaves * leaves - leaves
+                    rows.append((f"U2({roots[0][0]})", numer * cap, denom * 24))
+            else:
+                a, b, c = roots
+                for (enc_i, size_i), (enc_j, size_j), (enc_k, _) in (
+                    (a, b, c),
+                    (a, c, b),
+                    (b, c, a),
+                ):
+                    if enc_j < enc_i:
+                        enc_i, enc_j = enc_j, enc_i
+                    joined = f"B2({enc_i},{enc_j})"
+                    if enc_k < joined:
+                        joined = f"B1({enc_k},{joined})"
+                    else:
+                        joined = f"B1({joined},{enc_k})"
+                    rows.append((joined, numer * (size_i + size_j) * leaves, denom * 2))
             continue
         for i, (enc_i, size_i) in enumerate(roots):
             for j in range(i + 1, len(roots)):

@@ -1,12 +1,14 @@
+import io
 import json
 import math
 import os
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from hodgetrees.cli import main
+from hodgetrees.cli import _BLOCK_ROWS, main
 from hodgetrees.cutjoin import canonical_key, load_cache, save_cache, step_value
 from hodgetrees.exact_arith import format_rational
 from hodgetrees.hodge import hodge_integral, hodge_table
@@ -154,6 +156,31 @@ class TestEnumerationAgainstTreeObjects:
         argv = ("trees", "enumerate", "--g", str(genus), "--n", str(leaves))
         assert run(capsys, *argv) == (0, text, "")
         assert run(capsys, *argv, "--format", "json") == (0, payload, "")
+
+
+class CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestBlockWrites:
+    def test_listing_written_in_blocks(self, monkeypatch):
+        # An unbuffered stdout makes one system call per write: 18,900 rows
+        # take a few block writes, plus the header and the closing line, and
+        # blocks this large keep the whole listing to at most 10 writes.
+        text, payload = tree_object_listing(1, 6)
+        for fmt, expected in (("text", text), ("json", payload)):
+            stdout = CountingStdout()
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = main(["trees", "enumerate", "--g", "1", "--n", "6", "--format", fmt])
+            monkeypatch.undo()
+            assert code == 0 and stdout.getvalue() == expected, fmt
+            assert stdout.writes <= math.ceil(18_900 / _BLOCK_ROWS) + 3 <= 10, fmt
 
 
 def _drop_last(rows):

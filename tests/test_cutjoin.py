@@ -18,6 +18,7 @@ from hodgetrees.cutjoin import (
     recursion_terms,
     save_cache,
 )
+from hodgetrees.exact_arith import format_rational
 from hodgetrees.hodge import hodge_integral, hodge_table
 
 
@@ -409,6 +410,19 @@ class TestCachePersistence:
         text = path.read_text()
         save_cache(load_cache(path), path)
         assert path.read_text() == text
+
+    def test_long_values_round_trip(self, tmp_path):
+        # 20,000 and 20,001 digits, far past int()'s digit limit on text; the
+        # numerator's low half is all zeros but its last digit.
+        p, q = -(10**19999 + 1), 7**23666
+        path = tmp_path / "memo.tsv"
+        save_cache({key(1, 1, (2, 1)): Fraction(p, q)}, path)
+        assert load_cache(path) == {key(1, 1, (2, 1)): Fraction(p, q)}
+        assert len(path.read_text()) == len("1\t1\t1,2\t-/\n") + 40_001
+        tripled = f"{format_rational(3 * p)}/{format_rational(3 * q)}"
+        path.write_text(f"1\t1\t1,2\t{tripled}\n")
+        with pytest.raises(ValueError, match="not in lowest terms"):
+            load_cache(path)
 
     def test_file_format(self, tmp_path):
         cache = {key(1, 1, (2, 1)): Fraction(1, 6)}

@@ -246,16 +246,30 @@ class TestIntegerAggregate:
 
 class TestWeightedEncodings:
     def test_matches_tree_objects(self):
-        # tests/test_cli.py compares the printed listings over a wider range
-        for genus in range(4):
-            for leaves in range(1, 7):
-                if 2 * genus + leaves - 1 > 6:
-                    continue
-                rows = weighted_encodings(genus, leaves)
-                assert [(e, Fraction(p, q)) for e, p, q in rows] == [
-                    (canonical_encoding(t), tree_weight(t))
-                    for t in enumerate_trees(genus, leaves)
-                ], (genus, leaves)
+        # Every (g, n) with 2g + n - 1 <= 8 and at most 20,000 trees, (g, 1)
+        # with none among them. Histories end at step 2 in two shapes, both
+        # finished in place: two joins over three roots, and a U2 cap on one.
+        # In (4, 5) the third root can be B11(...), which sorts before B2(...).
+        # tests/test_cli.py compares the printed listings up to 2g + n - 1 <= 9.
+        cases = [
+            (genus, leaves)
+            for genus in range(5)
+            for leaves in range(1, 10 - 2 * genus)
+            if count_trees(genus, leaves) <= 20_000
+        ]
+        two_joins = caps = first_below_b2 = 0
+        for genus, leaves in cases + [(4, 5)]:
+            rows = weighted_encodings(genus, leaves)
+            assert [(e, Fraction(p, q)) for e, p, q in rows] == [
+                (canonical_encoding(t), tree_weight(t))
+                for t in enumerate_trees(genus, leaves)
+            ], (genus, leaves)
+            two_joins += sum("B2(" in e for e, _, _ in rows)
+            caps += sum(e.startswith("U2(") for e, _, _ in rows)
+            first_below_b2 += sum(
+                e.startswith("B1(B1") and ",B2(" in e for e, _, _ in rows
+            )
+        assert two_joins and caps and first_below_b2
 
     def test_unit_pair_tree(self):
         (row,) = weighted_encodings(1, 2)
