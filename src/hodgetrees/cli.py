@@ -9,9 +9,9 @@ FILE is written only when it did not exist or the command added entries.
 ``verify --check memo --cache FILE`` derives every entry of such a file
 again from the file's own values.
 Exit codes: 0 on success or all checks passing, 1 on a verification
-failure, 2 on a usage error or on a ``trees enumerate`` input with more
-than ``ENUMERATION_LIMIT`` trees, 3 on an internal error, such as a tree
-listing whose count, order or weight total fails its check.
+failure, 2 on a usage error (refused input, including a ``trees enumerate``
+input with more than ``ENUMERATION_LIMIT`` trees, or a file that cannot be
+read or written), 3 on any other exception: an internal error.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _weights(text: str) -> tuple[int, ...]:
         parts = tuple(int(piece) for piece in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"malformed weight list: {text!r}")
-    if not parts or any(w < 1 for w in parts):
+    if any(w < 1 for w in parts):
         raise argparse.ArgumentTypeError("weights must be positive integers")
     return parts
 
@@ -278,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # UndefinedExponentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:  # RecursionError is a RuntimeError too
+    except Exception as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
     raise AssertionError("unreachable subcommand")

@@ -133,24 +133,26 @@ def recursion_terms(key: CycleKey) -> list[tuple[Fraction, CycleKey]]:
     genus, lam, weights = key
     total = sum(weights)
     counts = Counter(weights)
+    # Joins leave n - 1 weights, the handle n, splits n + 1: no child is shared.
     children: dict[CycleKey, int] = {}
-    if not _vanishes(key):
-        for pairs, joined, merged in _multiset_joins(weights, counts):
-            children[CycleKey(genus, lam, merged)] = 12 * joined * pairs
-    handle = CycleKey(genus - 1, lam - 1, weights)
+    for pairs, joined, merged in _multiset_joins(weights, counts):
+        children[CycleKey(genus, lam, merged)] = 12 * joined * pairs
     coefficient = sum(m * (w * w * w - w) for w, m in counts.items())
-    if coefficient and not _vanishes(handle):
-        children[handle] = coefficient
-    if not _vanishes(CycleKey(genus - 1, lam, weights)):
-        for w, m in counts.items():
-            rest = list(weights)
-            rest.remove(w)
-            for p in range(1, w // 2 + 1):
-                split = CycleKey(genus - 1, lam, tuple(sorted(rest + [p, w - p])))
-                children[split] = 6 * p * (w - p) * m * (1 if 2 * p == w else 2)
+    if coefficient:
+        children[CycleKey(genus - 1, lam - 1, weights)] = coefficient
+    for w, m in counts.items():
+        rest = list(weights)
+        rest.remove(w)
+        for p in range(1, w // 2 + 1):
+            split = CycleKey(genus - 1, lam, tuple(sorted(rest + [p, w - p])))
+            children[split] = 6 * p * (w - p) * m * (1 if 2 * p == w else 2)
     assert all(sum(c.weights) == total for c in children), "weight total changed"
     denominator = 12 * total * (2 * genus + len(weights) - 1)
-    return [(Fraction(c, denominator), child) for child, c in sorted(children.items())]
+    return [
+        (Fraction(c, denominator), child)
+        for child, c in sorted(children.items())
+        if not _vanishes(child)
+    ]
 
 
 def cycle_value(

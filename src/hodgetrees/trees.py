@@ -220,6 +220,7 @@ def _aggregate(genus: int, leaves: int) -> tuple[int, int]:
     (m**3 - m) * (step - 1) times it to the layer two steps below. A layer
     is dropped once expanded; the walk ends at ((leaves,), 0), step 0.
     """
+    _check_parameters(genus, leaves)
     top = 2 * genus + leaves - 1
     layers = {top: {((1,) * leaves, genus): [1, 1]}}
     for step in range(top, 0, -1):
@@ -242,13 +243,11 @@ def _aggregate(genus: int, leaves: int) -> tuple[int, int]:
 
 def count_trees(genus: int, leaves: int) -> int:
     """Number of (genus, leaves) decorated trees, i.e. of build histories."""
-    _check_parameters(genus, leaves)
     return _aggregate(genus, leaves)[0]
 
 
 def tree_sum(genus: int, leaves: int) -> Fraction:
     """Exact sum of tree weights over all (genus, leaves) decorated trees."""
-    _check_parameters(genus, leaves)
     scaled = _aggregate(genus, leaves)[1]
     top = 2 * genus + leaves - 1
     return Fraction(scaled, 12**genus * factorial(top) * leaves ** (leaves + genus - 1))

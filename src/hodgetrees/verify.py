@@ -13,9 +13,9 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .cutjoin import CycleKey, canonical_key, cycle_value, load_cache, step_value
+from .cutjoin import canonical_key, cycle_value, load_cache, step_value
 from .exact_arith import format_rational
-from .hodge import hodge_integral
+from .hodge import hodge_integral, hodge_table
 from .oracle import bernoulli_rhs, gf_expand, oracle_integral
 from .trees import tree_sum
 
@@ -134,17 +134,11 @@ def check_genus0(max_leaves: int = 9) -> CheckReport:
 
 
 def check_oracle_agreement(max_genus: int = 6) -> CheckReport:
-    """Recursion-pipeline integrals equal kernel-expansion coefficients."""
+    """The rows ``hodge_table`` gives equal kernel-expansion coefficients."""
     expansion = gf_expand(max_genus)
-    cache: dict = {}
     cases = (
-        (
-            f"g={g},i={i}",
-            hodge_integral(g, i, cache=cache),
-            oracle_integral(g, i, expansion),
-        )
-        for g in range(1, max_genus + 1)
-        for i in range(g + 1)
+        (f"g={g},i={i}", value, oracle_integral(g, i, expansion))
+        for g, i, value in hodge_table(max_genus)
     )
     return _report("oracle", f"g<={max_genus}", cases)
 
@@ -165,9 +159,9 @@ def check_choice_independence(max_genus: int = 3) -> CheckReport:
     return _report("independence", f"g<={max_genus},aux={aux_text}", cases())
 
 
-def _key_text(key: CycleKey) -> str:
-    weights = ",".join(map(str, key.weights))
-    return f"g={key.genus},lambda={key.lam},weights=[{weights}]"
+def _key_text(key: tuple) -> str:
+    genus, lam, weights = key
+    return f"g={genus},lambda={lam},weights=[{','.join(map(str, weights))}]"
 
 
 def check_memo(path: str) -> CheckReport:
@@ -187,7 +181,7 @@ def check_memo(path: str) -> CheckReport:
             try:
                 derived = step_value(key, cache)
             except KeyError as missing:
-                derived = f"missing child {_key_text(CycleKey(*missing.args[0]))}"
+                derived = f"missing child {_key_text(missing.args[0])}"
             yield _key_text(key), cache[key], derived
 
     return _report("memo", f"cache={path}", cases())

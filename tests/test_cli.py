@@ -538,16 +538,22 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "enumeration limit" in err
 
-    def test_internal_error_exits_3(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "error",
+        [RuntimeError, AssertionError, KeyError, MemoryError, ZeroDivisionError],
+    )
+    def test_internal_error_exits_3(self, capsys, monkeypatch, error):
         import hodgetrees.cli as cli
 
-        def rebound(*args):
-            raise RuntimeError("memo cache rebound")
+        def failing(*args):
+            raise error("memo cache rebound")
 
-        monkeypatch.setattr(cli, "cycle_value", rebound)
+        monkeypatch.setattr(cli, "cycle_value", failing)
         code, out, err = run(capsys, "w", "--g", "1", "--lambda", "1", "--weights", "2")
         assert code == 3 and out == ""
-        assert err == "error: internal: memo cache rebound\n"
+        assert err.startswith("error: internal:")
+        if error is RuntimeError:
+            assert err == "error: internal: memo cache rebound\n"
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -192,6 +192,26 @@ class TestAgainstPairLoop:
         for k in expanded:
             assert recursion_terms(k) == _reference_terms(k), k
 
+    @pytest.mark.parametrize("k", [CycleKey(2, 3, (1, 1, 2)), CycleKey(3, -1, (2, 3))])
+    def test_index_outside_genus_has_no_children(self, k):
+        assert k.exponent > 0
+        assert recursion_terms(k) == _reference_terms(k) == []
+
+    def test_index_at_zero_and_at_genus(self):
+        # Memo keys at the index ends, where the handle or a split child
+        # leaves 0..genus and is dropped.
+        keys = [
+            CycleKey(g, lam, tuple(sorted(weights)))
+            for g in range(4)
+            for lam in sorted({0, g})
+            for total in range(1, 7)
+            for weights in partitions(total)
+        ]
+        expanded = [k for k in keys if k.exponent > 0]
+        assert len(expanded) > 100
+        for k in expanded:
+            assert recursion_terms(k) == _reference_terms(k), k
+
 
 def reference_evaluate(key, cache):
     """Evaluation with one ``recursion_terms`` call and its Fractions per state."""
