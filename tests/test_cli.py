@@ -538,11 +538,21 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "enumeration limit" in err
 
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        import hodgetrees.cli as cli
+
+        def rebound(*args):
+            raise RuntimeError("memo cache rebound")
+
+        monkeypatch.setattr(cli, "cycle_value", rebound)
+        code, out, err = run(capsys, "w", "--g", "1", "--lambda", "1", "--weights", "2")
+        assert code == 3 and out == ""
+        assert err == "error: internal: memo cache rebound\n"
+
     @pytest.mark.parametrize(
-        "error",
-        [RuntimeError, AssertionError, KeyError, MemoryError, ZeroDivisionError],
+        "error", [AssertionError, KeyError, MemoryError, ZeroDivisionError]
     )
-    def test_internal_error_exits_3(self, capsys, monkeypatch, error):
+    def test_other_internal_errors_exit_3(self, capsys, monkeypatch, error):
         import hodgetrees.cli as cli
 
         def failing(*args):
@@ -552,8 +562,6 @@ class TestErrorPaths:
         code, out, err = run(capsys, "w", "--g", "1", "--lambda", "1", "--weights", "2")
         assert code == 3 and out == ""
         assert err.startswith("error: internal:")
-        if error is RuntimeError:
-            assert err == "error: internal: memo cache rebound\n"
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
