@@ -11,6 +11,9 @@ common denominator and reduce once per coefficient, so every value they
 return is still a reduced ``Fraction``. Reciprocals and logarithms share
 one power-series division: the reciprocal divides 1 by the series, and the
 logarithm divides the series' derivative by it and integrates the quotient.
+The series oracle's ``gf_expand`` takes none of them: it only holds its
+result in ``TruncatedSeries``. Bernoulli numbers come from integer zigzag
+numbers, with one ``Fraction`` per table entry.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import re
 import threading
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 
 __all__ = [
@@ -205,26 +209,35 @@ def _divide(dividend: list[int], divisor: list[int]) -> list[Fraction]:
 
 
 _bernoulli_lock = threading.Lock()
-_bernoulli_table: list[Fraction] = [Fraction(1)]
+_bernoulli_table: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+# The last row of the Seidel-Entringer triangle, whose last entry is the
+# zigzag number E_(len - 1).
+_zigzag_row: list[int] = [1]
 
 
 def bernoulli(index: int) -> Fraction:
     """The Bernoulli number B_index, in the convention with B_1 = -1/2.
 
-    Computed from the defining recurrence sum_{k=0..m} C(m+1, k) B_k = 0,
-    which pins B_0 = 1, B_1 = -1/2 and kills every odd index above 1. The
-    shared table grows on demand under a lock; entries never change once
-    written, so concurrent readers are safe.
+    B_0 = 1 and B_1 = -1/2, every odd index above 1 gives 0, and
+    B_2n = (-1)**(n-1) * 2n * E_(2n-1) / (4**n * (4**n - 1)), where the
+    zigzag (tangent) number E_(2n-1) is read off the Seidel-Entringer
+    triangle in integers alone (Brent & Harvey, "Fast computation of
+    Bernoulli, Tangent and Secant numbers", 2011). The shared table and
+    the triangle's last row grow on demand under a lock; table entries
+    never change once written, so concurrent readers are safe.
     """
     if index < 0:
         raise ValueError("Bernoulli numbers are indexed by nonnegative integers")
     with _bernoulli_lock:
         while len(_bernoulli_table) <= index:
             m = len(_bernoulli_table)
-            acc = _ZERO
-            for k in range(m):
-                value = _bernoulli_table[k]
-                if value:
-                    acc += math.comb(m + 1, k) * value
-            _bernoulli_table.append(-acc / (m + 1))
+            if m % 2:
+                _bernoulli_table.append(_ZERO)
+                continue
+            while len(_zigzag_row) < m:  # row r holds r + 1 entries
+                _zigzag_row[:] = accumulate(reversed(_zigzag_row), initial=0)
+            n = m // 2
+            _bernoulli_table.append(
+                Fraction((-1) ** (n - 1) * m * _zigzag_row[-1], 4**n * (4**n - 1))
+            )
         return _bernoulli_table[index]

@@ -5,11 +5,15 @@ The generating function of all one-point Hodge integrals is the kernel
 is the integral of psi**(2g-2+j) * lambda_(g-j). This module expands that
 power exactly, as a polynomial in k whose coefficients are truncated series
 in t with rational coefficients, giving a cross-check on the recursion
-pipeline that shares none of its code. Writing the power as
-exp((k+1) * log(kernel)) = kernel * sum_j (k * log(kernel))**j / j! keeps k
-a genuine polynomial variable; since log(kernel) starts at t**2, powers of
-k beyond the truncation's genus reach vanish identically and the k-degree
-is exactly the maximal genus.
+pipeline that shares none of its code.
+
+The power is P = S**(-(k+1)), where S = sin(t/2)/(t/2) has the closed-form
+coefficients s_j = (-1)**j / (4**j * (2j+1)!) of u**j, u = t**2. J.C.P.
+Miller's recurrence for a power of a series (Knuth, TAOCP vol. 2, section
+4.7) follows from P' * S = -(k+1) * S' * P and gives the u**g coefficient
+of P as p_0 = 1 and p_g = -(1/g) * sum_{j=1..g} (j*k + g) * s_j * p_(g-j),
+a polynomial in k of degree g; so the k-degree is exactly the maximal
+genus, and no series product, reciprocal or logarithm is taken.
 
 The top lambda index also satisfies a Bernoulli closed form: g! times the
 integral with lambda_g equals (2**(2g-1) - 1) * g! / (2**(2g-1) * (2g)!)
@@ -38,6 +42,7 @@ def sine_kernel(order_bound: int) -> TruncatedSeries:
 
     Built as the reciprocal of sin(t/2)/(t/2), whose t**(2m) coefficient is
     (-1)**m / (4**m * (2m+1)!); the kernel is even with constant term 1.
+    ``gf_expand`` no longer calls it: the tests compare the two.
     """
     coefficients = [Fraction(0)] * order_bound
     for m in range(0, (order_bound + 1) // 2):
@@ -74,12 +79,31 @@ def gf_expand(max_genus: int) -> KernelExpansion:
     """
     if max_genus < 1:
         raise ValueError("max genus must be at least 1")
+    # s_j = (-1)**j / sine_dens[j] is the u**j coefficient of S.
+    sine_dens = [4**j * math.factorial(2 * j + 1) for j in range(max_genus + 1)]
+    # p_g = sum(rows[g][i] * k**i) / dens[g], reduced once per row.
+    rows, dens = [[1]], [1]
+    for g in range(1, max_genus + 1):
+        den = math.lcm(*(sine_dens[j] * dens[g - j] for j in range(1, g + 1)))
+        # Over den: plain = sum_j s_j p_(g-j), weighted = k * sum_j j s_j p_(g-j).
+        plain, weighted = [0] * (g + 1), [0] * (g + 1)
+        for j in range(1, g + 1):
+            scale = (-1) ** j * (den // (sine_dens[j] * dens[g - j]))
+            for i, c in enumerate(rows[g - j]):
+                c *= scale
+                plain[i] += c
+                weighted[i + 1] += j * c
+        row = [-g * a - b for a, b in zip(plain, weighted)]  # over g * den
+        common = math.gcd(g * den, *row)
+        rows.append([c // common for c in row])
+        dens.append(g * den // common)
     order_bound = 2 * max_genus + 2
-    kernel = sine_kernel(order_bound)
-    log_kernel = kernel.log()
-    entries = [kernel]
-    for j in range(1, max_genus + 1):
-        entries.append(entries[-1] * log_kernel * Fraction(1, j))
+    entries = []
+    for j in range(max_genus + 1):
+        coefficients = [Fraction(0)] * order_bound
+        for g in range(j, max_genus + 1):
+            coefficients[2 * g] = Fraction(rows[g][j], dens[g])
+        entries.append(TruncatedSeries(coefficients, order_bound))
     return KernelExpansion(tuple(entries))
 
 

@@ -399,8 +399,18 @@ class TestBernoulli:
             assert total == 0, m
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
+        message = "Bernoulli numbers are indexed by nonnegative integers"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             bernoulli(-1)
+
+    def test_equals_fraction_recurrence_to_200(self):
+        # The table as it was grown before the zigzag numbers: the defining
+        # recurrence sum_{k=0..m} C(m+1, k) B_k = 0, in Fractions.
+        table = [Fraction(1)]
+        for m in range(1, 201):
+            acc = sum(math.comb(m + 1, k) * b for k, b in enumerate(table) if b)
+            table.append(-acc / (m + 1))
+        assert [bernoulli(m) for m in range(201)] == table
 
     def test_against_series_expansion(self):
         # Independent route: B_m = m! * [t^m] t/(exp(t) - 1), here computed by

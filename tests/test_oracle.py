@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,17 @@ class TestSineKernel:
             sine_kernel(0)
 
 
+def series_path_expansion(max_genus):
+    """The kernel power as exp((k+1) * log(kernel)), from the package's series
+    operations: the sine kernel, its logarithm and one product per power of k."""
+    kernel = sine_kernel(2 * max_genus + 2)
+    log_kernel = kernel.log()
+    entries = [kernel]
+    for j in range(1, max_genus + 1):
+        entries.append(entries[-1] * log_kernel * Fraction(1, j))
+    return tuple(entries)
+
+
 class TestExpansion:
     def test_normalization(self):
         expansion = gf_expand(3)
@@ -70,8 +82,26 @@ class TestExpansion:
                 assert small.coefficient(m, j) == large.coefficient(m, j)
 
     def test_rejects_genus_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max genus must be at least 1$"):
             gf_expand(0)
+
+    def test_equals_series_path_to_genus_60(self):
+        expansion = gf_expand(60)
+        reference = series_path_expansion(60)
+        assert len(expansion.entries) == len(reference) == 61
+        for j, (got, want) in enumerate(zip(expansion.entries, reference)):
+            assert got.order_bound == want.order_bound == 122
+            assert got.coefficients == want.coefficients, j
+
+    @pytest.mark.parametrize("max_genus", range(1, 31))
+    def test_constant_entry_is_the_sine_kernel(self, max_genus):
+        assert gf_expand(max_genus).entries[0] == sine_kernel(2 * max_genus + 2)
+
+    @pytest.mark.parametrize("t_power", [-1, 8, 9])
+    def test_t_power_out_of_range(self, t_power):
+        message = f"coefficient of t^{t_power} is not determined at order bound 8"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gf_expand(3).coefficient(t_power, 0)
 
     @pytest.mark.parametrize("k_power", [-1, -4, 4, 5])
     def test_k_power_out_of_range(self, k_power):
@@ -105,11 +135,11 @@ class TestOracleIntegral:
 
     def test_rejects_out_of_range(self):
         expansion = gf_expand(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^genus must lie in 1\.\.2$"):
             oracle_integral(3, 1, expansion)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^genus must lie in 1\.\.2$"):
             oracle_integral(0, 0, expansion)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^lambda index must lie in 0\.\.genus$"):
             oracle_integral(2, 3, expansion)
 
 
