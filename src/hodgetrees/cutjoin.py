@@ -18,6 +18,8 @@ families of strictly smaller values:
 Two seeds close the recursion: genus 1, index 1, single weight a gives
 (a*a - 1)/24, and genus 0, index 0, two weights give 1. Values with index
 below 0 or above the genus, or with negative genus, vanish identically.
+With the index in 0..genus, the seeds are exactly the keys with psi
+exponent 0, and only genus 0, index 0, one weight has a negative one.
 
 The psi exponent 2g + n - 2 - index drops by exactly one at every rewrite,
 so a query with positive exponent resolves to seeds and vanishing values in
@@ -162,9 +164,9 @@ def cycle_value(
 
     ``cache`` maps keys to values and is filled as evaluation proceeds; a key
     already present is trusted and never recomputed. Raises
-    ``UndefinedExponentError`` for indices with nonpositive psi exponent that
-    are neither seeds nor killed by the index convention; such indices are
-    never produced by the recursion itself, only by malformed queries.
+    ``UndefinedExponentError`` for indices with negative psi exponent that
+    the index convention does not kill; such indices are never produced by
+    the recursion itself, only by malformed queries.
     """
     key = canonical_key(*key)
     if cache is None:
@@ -204,30 +206,23 @@ def _transitions(weights: tuple[int, ...]) -> _Transitions:
     return entries
 
 
-def _seed(genus: int, lam: int, weights: tuple[int, ...]) -> Fraction | None:
-    """The closed form of a seed; None for any other key."""
-    if genus == 1 and lam == 1 and len(weights) == 1:
-        return Fraction(weights[0] * weights[0] - 1, 24)
-    if genus == 0 and lam == 0 and len(weights) == 2:
-        return _ONE
-    return None
-
-
 def _step(genus: int, lam: int, weights: tuple[int, ...]) -> Fraction | list:
-    """A seed's closed form, or the (integer coefficient, child) pairs of its step.
+    """A childless key's value, or the (integer coefficient, child) pairs of its step.
 
-    The index must lie in 0..genus. Children whose index leaves 0..genus
-    vanish and are dropped. A key with nonpositive psi exponent that is not a
-    seed raises ``UndefinedExponentError``: it has no step, and no step
-    reaches it.
+    An index outside 0..genus gives 0, psi exponent 0 (a seed) the seed's
+    closed form, and a negative exponent ``UndefinedExponentError``: such a
+    key has no step, and no step reaches it. Children whose index leaves
+    0..genus vanish and are dropped.
     """
-    value = _seed(genus, lam, weights)
-    if value is not None:
-        return value
-    if 2 * genus + len(weights) - 2 - lam <= 0:
+    if not 0 <= lam <= genus:
+        return _ZERO
+    exponent = 2 * genus + len(weights) - 2 - lam
+    if exponent == 0:
+        return _ONE if genus == 0 else Fraction(weights[0] * weights[0] - 1, 24)
+    if exponent < 0:
         key = CycleKey(genus, lam, weights)
         raise UndefinedExponentError(
-            f"undefined integrand exponent {key.exponent} for {key}"
+            f"undefined integrand exponent {exponent} for {key}"
         )
     return [
         (c, (genus + dg, lam + dl, child))
@@ -250,11 +245,8 @@ def step_value(key: CycleKey, cache: dict[CycleKey, Fraction]) -> Fraction:
 
     Vanishing keys give 0 and seeds their closed form without reading
     ``cache``. A child missing from ``cache`` raises ``KeyError`` with that
-    child; a key with nonpositive psi exponent that is neither vanishing nor
-    a seed raises ``UndefinedExponentError``.
+    child; a key with negative psi exponent raises ``UndefinedExponentError``.
     """
-    if _vanishes(key):
-        return _ZERO
     step = _step(*key)
     if isinstance(step, list):
         return _combine(key.genus, key.weights, step, cache)
@@ -313,19 +305,18 @@ def load_cache(path: str | os.PathLike) -> dict[CycleKey, Fraction]:
 
     Besides malformed lines, entries that no evaluation writes are refused:
     an index outside 0..genus (such values vanish and are never stored), and
-    a nonpositive psi exponent on a key that is not a seed (undefined).
-    Evaluation trusts every loaded entry, so neither may reach it.
+    a negative psi exponent (undefined). Evaluation trusts every loaded
+    entry, so neither may reach it.
     """
     cache: dict[CycleKey, Fraction] = {}
-    with open(path, "r", encoding="ascii") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line:
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle.read().splitlines(), start=1):
+            if not raw:
                 continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
             try:
+                fields = raw.decode("ascii").split("\t")
+                if len(fields) != 4:
+                    raise ValueError("expected 4 tab-separated fields")
                 genus = int(fields[0])
                 lam = int(fields[1])
                 weights = tuple(map(int, fields[2].split(",")))
@@ -337,7 +328,7 @@ def load_cache(path: str | os.PathLike) -> dict[CycleKey, Fraction]:
                 raise ValueError(f"{path}:{lineno}: lambda {lam} outside 0..{genus}")
             if key.weights != weights:
                 raise ValueError(f"{path}:{lineno}: weights are not sorted")
-            if key.exponent <= 0 and _seed(*key) is None:
+            if key.exponent < 0:
                 raise ValueError(
                     f"{path}:{lineno}: undefined integrand exponent"
                     f" {key.exponent} for {key}"

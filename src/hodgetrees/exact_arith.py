@@ -11,8 +11,8 @@ common denominator and reduce once per coefficient, so every value they
 return is still a reduced ``Fraction``. Reciprocals and logarithms share
 one power-series division: the reciprocal divides 1 by the series, and the
 logarithm divides the series' derivative by it and integrates the quotient.
-The series oracle's ``gf_expand`` takes none of them: it only holds its
-result in ``TruncatedSeries``. Bernoulli numbers come from integer zigzag
+Only the oracle's ``sine_kernel``, the tests' reference, builds a series;
+``gf_expand`` uses none of them. Bernoulli numbers come from integer zigzag
 numbers, with one ``Fraction`` per table entry.
 """
 

@@ -513,6 +513,21 @@ class TestDeterminismAndCache:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}:1: undefined integrand exponent")
 
+    def test_non_ascii_byte_is_refused_with_file_and_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1\t1\t3\t1/3\n\xc3\xa9\n")
+        before = path.read_bytes()
+        code, out, err = run(
+            capsys, "w", "--g", "1", "--lambda", "1", "--weights", "3",
+            "--cache", str(path),
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: {path}:2: 'ascii' codec can't decode byte 0xc3 in position 0:"
+            " ordinal not in range(128)\n"
+        )
+        assert path.read_bytes() == before
+
     def test_table_memo_still_loads(self, capsys, tmp_path, table_8_memo):
         path = tmp_path / "memo.tsv"
         path.write_text(table_8_memo, encoding="ascii")

@@ -17,6 +17,7 @@ from hodgetrees.cutjoin import (
     load_cache,
     recursion_terms,
     save_cache,
+    step_value,
 )
 from hodgetrees.exact_arith import format_rational
 from hodgetrees.hodge import hodge_integral, hodge_table
@@ -75,6 +76,76 @@ class TestSeedsAndConventions:
             value(0, 0, (5,))
         with pytest.raises(UndefinedExponentError):
             value(0, 0, (1,))
+
+
+def seed_table(genus, lam, weights):
+    """The seed closed forms as a table of index shapes: a value, or None."""
+    if genus == 1 and lam == 1 and len(weights) == 1:
+        return Fraction(weights[0] * weights[0] - 1, 24)
+    if genus == 0 and lam == 0 and len(weights) == 2:
+        return Fraction(1)
+    return None
+
+
+def partitions(total, largest=None):
+    """Every sorted tuple of positive integers adding up to ``total``."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest or total), 0, -1):
+        for rest in partitions(total - part, part):
+            yield rest + (part,)
+
+
+class TestExponentRule:
+    """The psi exponent classifies keys exactly as the seed table does."""
+
+    KEYS = [
+        CycleKey(genus, lam, weights)
+        for genus in range(5)
+        for lam in range(-1, genus + 2)
+        for total in range(1, 7)
+        for weights in partitions(total)
+    ]
+
+    def test_step_value_without_children(self):
+        assert len({k.weights for k in self.KEYS}) == 1 + 2 + 3 + 5 + 7 + 11
+        undefined = []
+        for k in self.KEYS:
+            if not 0 <= k.lam <= k.genus:
+                assert step_value(k, {}) == 0, k
+            elif seed_table(*k) is not None:
+                assert step_value(k, {}) == seed_table(*k), k
+            elif k.exponent <= 0:
+                message = f"undefined integrand exponent {k.exponent} for {k}"
+                with pytest.raises(UndefinedExponentError, match=re.escape(message)):
+                    step_value(k, {})
+                undefined.append(k)
+            elif k.weights == (1,):
+                assert step_value(k, {}) == 0, k  # a step with no children
+            else:
+                with pytest.raises(KeyError):
+                    step_value(k, {})
+        assert undefined == [CycleKey(0, 0, (a,)) for a in range(1, 7)]
+
+    def test_memo_line_loads_exactly_where_evaluation_writes(self, tmp_path):
+        path = tmp_path / "memo.tsv"
+        for k in self.KEYS:
+            cache = {}
+            try:
+                cycle_value(k, cache)
+            except UndefinedExponentError:
+                pass
+            writes = k in cache
+            seed_or_step = k.exponent > 0 or seed_table(*k) is not None
+            assert writes == (0 <= k.lam <= k.genus and seed_or_step)
+            weights = ",".join(map(str, k.weights))
+            path.write_text(f"{k.genus}\t{k.lam}\t{weights}\t1\n")
+            try:
+                loads = load_cache(path) == {k: 1}
+            except ValueError:
+                loads = False
+            assert loads == writes, k
 
 
 class TestKnownValues:

@@ -371,13 +371,20 @@ class TestAgainstReference:
         assert result[0] == "error"
         assert result == outcome(reference, *args)
 
-    def test_kernel_expansion_to_genus_30(self):
-        expansion = gf_expand(30)
-        reference = reference_expansion(30)
-        assert len(expansion.entries) == len(reference) == 31
-        for got, want in zip(expansion.entries, reference):
-            assert got.order_bound == want.order_bound == 62
-            assert got.coefficients == want.coefficients
+    def test_kernel_expansion_to_genus_60(self):
+        # Every t**m * k**j coefficient: the row entry when m = 2g and
+        # j <= g, and 0 everywhere else.
+        expansion = gf_expand(60)
+        reference = reference_expansion(60)
+        assert len(expansion.rows) == len(expansion.dens) == len(reference) == 61
+        for j, series in enumerate(reference):
+            assert series.order_bound == 122
+            for m, want in enumerate(series.coefficients):
+                g = m // 2
+                if m % 2 == 0 and j <= g:
+                    assert Fraction(expansion.rows[g][j], expansion.dens[g]) == want
+                else:
+                    assert want == 0, (m, j)
 
 
 class TestBernoulli:

@@ -1,5 +1,4 @@
 import math
-import re
 from fractions import Fraction
 
 import pytest
@@ -53,61 +52,60 @@ def series_path_expansion(max_genus):
 class TestExpansion:
     def test_normalization(self):
         expansion = gf_expand(3)
-        assert expansion.coefficient(0, 0) == 1
-        for j in range(1, 4):
-            assert expansion.coefficient(0, j) == 0
+        assert expansion.rows[0] == (1,) and expansion.dens[0] == 1
 
     def test_degree_and_order(self):
         expansion = gf_expand(4)
         assert expansion.max_genus == 4
-        assert all(e.order_bound == 10 for e in expansion.entries)
+        assert [len(row) for row in expansion.rows] == [1, 2, 3, 4, 5]
 
     def test_low_coefficients(self):
         expansion = gf_expand(2)
-        assert expansion.coefficient(2, 1) == Fraction(1, 24)
-        assert expansion.coefficient(2, 0) == Fraction(1, 24)
-        assert expansion.coefficient(4, 0) == Fraction(7, 5760)
-        assert expansion.coefficient(4, 1) == Fraction(1, 480)
+        assert expansion.rows[1:] == ((1, 1), (7, 12, 5))
+        assert expansion.dens[1:] == (24, 5760)
 
-    def test_even_in_t(self):
-        expansion = gf_expand(8)
-        for entry in expansion.entries:
-            for m in range(1, entry.order_bound, 2):
-                assert entry.coefficient(m) == 0
+    def test_rows_are_reduced(self):
+        expansion = gf_expand(60)
+        for g in range(61):
+            assert expansion.dens[g] > 0
+            assert math.gcd(expansion.dens[g], *expansion.rows[g]) == 1, g
 
     def test_truncation_stability(self):
         small, large = gf_expand(3), gf_expand(6)
-        for j in range(small.max_genus + 1):
-            for m in range(small.entries[0].order_bound):
-                assert small.coefficient(m, j) == large.coefficient(m, j)
+        assert large.rows[:4] == small.rows and large.dens[:4] == small.dens
 
     def test_rejects_genus_zero(self):
         with pytest.raises(ValueError, match="^max genus must be at least 1$"):
             gf_expand(0)
 
     def test_equals_series_path_to_genus_60(self):
+        # Every t**m * k**j coefficient of the series path: the row entry
+        # when m = 2g and j <= g, and 0 everywhere else.
         expansion = gf_expand(60)
         reference = series_path_expansion(60)
-        assert len(expansion.entries) == len(reference) == 61
-        for j, (got, want) in enumerate(zip(expansion.entries, reference)):
-            assert got.order_bound == want.order_bound == 122
-            assert got.coefficients == want.coefficients, j
+        assert len(expansion.rows) == len(expansion.dens) == len(reference) == 61
+        for j, series in enumerate(reference):
+            assert series.order_bound == 122
+            for m, want in enumerate(series.coefficients):
+                g = m // 2
+                if m % 2 == 0 and j <= g:
+                    assert Fraction(expansion.rows[g][j], expansion.dens[g]) == want
+                else:
+                    assert want == 0, (m, j)
 
     @pytest.mark.parametrize("max_genus", range(1, 31))
     def test_constant_entry_is_the_sine_kernel(self, max_genus):
-        assert gf_expand(max_genus).entries[0] == sine_kernel(2 * max_genus + 2)
-
-    @pytest.mark.parametrize("t_power", [-1, 8, 9])
-    def test_t_power_out_of_range(self, t_power):
-        message = f"coefficient of t^{t_power} is not determined at order bound 8"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            gf_expand(3).coefficient(t_power, 0)
+        # k**0 of the power is the kernel itself: the lambda_g integrals.
+        expansion, kernel = gf_expand(max_genus), sine_kernel(2 * max_genus + 2)
+        for g in range(1, max_genus + 1):
+            assert oracle_integral(g, g, expansion) == kernel.coefficient(2 * g)
 
     @pytest.mark.parametrize("k_power", [-1, -4, 4, 5])
     def test_k_power_out_of_range(self, k_power):
-        # -1 once read the k**3 entry through negative indexing, 4 an IndexError
-        with pytest.raises(ValueError, match=r"must lie in 0\.\.3"):
-            gf_expand(3).coefficient(4, k_power)
+        # The integral at genus 3 reads the k**(3 - lambda) entry of row 3;
+        # k**-1 would read its last entry through negative indexing.
+        with pytest.raises(ValueError, match=r"^lambda index must lie in 0\.\.genus$"):
+            oracle_integral(3, 3 - k_power, gf_expand(3))
 
 
 class TestOracleIntegral:

@@ -119,7 +119,7 @@ class TestRendering:
         with pytest.raises(AttributeError):
             report.passed = False
         with pytest.raises(AttributeError):
-            gf_expand(2).entries = ()
+            gf_expand(2).rows = ()
 
 
 def test_package_import_skips_dataclasses():
