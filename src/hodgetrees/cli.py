@@ -23,6 +23,8 @@ import sys
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
+from operator import ge, itemgetter
 
 from .cutjoin import canonical_key, cycle_value, load_cache, save_cache
 from .exact_arith import bernoulli, format_rational
@@ -180,9 +182,9 @@ def _weight_texts(rows, count: int, total: Fraction) -> dict[tuple[int, int], st
     if len(rows) != count:
         raise RuntimeError(f"tree listing has {len(rows)} rows, expected {count}")
     encodings = [row[0] for row in rows]
-    if any(a >= b for a, b in zip(encodings, encodings[1:])):
+    if any(map(ge, encodings, islice(encodings, 1, None))):
         raise RuntimeError("tree listing is not strictly increasing by encoding")
-    weights = Counter((numer, denom) for _, numer, denom in rows)
+    weights = Counter(map(itemgetter(1, 2), rows))
     if any(numer <= 0 or denom <= 0 for numer, denom in weights):
         raise RuntimeError("tree listing has a weight that is not positive")
     listed = sum(k * Fraction(numer, denom) for (numer, denom), k in weights.items())
@@ -211,13 +213,14 @@ def _run_trees(args) -> int:
             f'{{"g": {args.g}, "n": {args.n}, "count": {count},'
             f' "sum": "{format_rational(total)}", "trees": ['
         )
-        row, sep = '{{"encoding": "{}", "weight": "{}"}}'.format, ", "
+        head, tail, sep = '{"encoding": "', '", "weight": "{}"}}', ", "
     else:
         print(f"count {count}")
-        row, sep = "{}\t{}\n".format, ""
+        head, tail, sep = "", "\t{}\n", ""
+    tails = {pair: tail.format(text) for pair, text in texts.items()}
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]
-        text = sep.join(row(e, texts[p, q]) for e, p, q in block)
+        text = sep.join([head + e + tails[p, q] for e, p, q in block])
         sys.stdout.write(sep + text if start else text)
     if args.format == "json":
         print("]}")

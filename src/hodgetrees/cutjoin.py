@@ -30,21 +30,24 @@ Since the coefficients depend on the weights alone, and genus and index only
 pick each child's layer, a step is built once per partition: one
 ``recursion_terms`` call at (2, 1), where no child vanishes, gives the
 partition's transitions (genus offset, index offset, child weights, integer
-coefficient). A state at (g, index) shifts them onto its layer, drops the
-children whose index leaves 0..genus, and sums coefficient times child
-numerator over the lcm of the child denominators: one reduced ``Fraction``
-per state. The transitions table lives as long as the process and grows by
-one entry per partition evaluated; its entries are immutable and depend on
-the weights alone, so threads may share it. Evaluation is pure given the
-memo dictionary; a single dict may be shared across threads only because
-rebinding a key to a different value is rejected, but the intended use is
-one cache per thread.
+coefficient). Evaluation visits a state in one pass over them: it drops the
+children whose index leaves 0..genus and reads the others as integer pairs.
+If some are unknown, they go on the stack above the state, which is passed
+over again once they are known; else the value is one reduced ``Fraction``,
+coefficient times child numerator summed over the lcm of the child
+denominators. ``step_value`` is the same pass over a given memo. The
+transitions table lives as long as the process; its entries are immutable
+and depend on the weights alone, so threads may share it. Evaluation is
+pure given the memo dictionary; a single dict may be shared across threads
+only because rebinding a key to a different value is rejected, but the
+intended use is one cache per thread.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
@@ -63,7 +66,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class CycleKey(NamedTuple):
@@ -93,11 +95,6 @@ def canonical_key(genus: int, lam: int, weights: Iterable[int]) -> CycleKey:
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     return CycleKey(genus, lam, ws)
-
-
-def _vanishes(key: CycleKey) -> bool:
-    # Index outside 0..genus (or negative genus) vanishes before any other rule.
-    return key.lam < 0 or key.genus < 0 or key.lam > key.genus
 
 
 def _multiset_joins(items: tuple[int, ...], counts: Counter) -> Iterator[tuple]:
@@ -153,7 +150,7 @@ def recursion_terms(key: CycleKey) -> list[tuple[Fraction, CycleKey]]:
     return [
         (Fraction(c, denominator), child)
         for child, c in sorted(children.items())
-        if not _vanishes(child)
+        if 0 <= child.lam <= child.genus
     ]
 
 
@@ -163,34 +160,51 @@ def cycle_value(
     """Exact value of the cycle integral indexed by ``key``.
 
     ``cache`` maps keys to values and is filled as evaluation proceeds; a key
-    already present is trusted and never recomputed. Raises
-    ``UndefinedExponentError`` for indices with negative psi exponent that
-    the index convention does not kill; such indices are never produced by
-    the recursion itself, only by malformed queries.
+    already present is trusted and never recomputed. A negative psi exponent
+    that the index convention does not kill raises ``UndefinedExponentError``;
+    only malformed queries have one, never the recursion itself.
     """
     key = canonical_key(*key)
-    if cache is None:
-        cache = {}
-    return _evaluate(key, cache)
+    if not 0 <= key.lam <= key.genus:
+        return _ZERO
+    cache = {} if cache is None else cache
+    if key in cache:
+        return cache[key]
+    # Every state pushed was missing from the memo, so it is done once pairs
+    # holds it. States are plain tuples, equal to and hashed like their keys;
+    # a CycleKey is built once per state, when it enters the memo.
+    pairs: dict[tuple, tuple[int, int]] = {}
+    stack: list[tuple] = [key]
+    while stack:
+        top = stack[-1]
+        if top in pairs:
+            stack.pop()
+            continue
+        value = _state(*top, pairs, cache)
+        if type(value) is list:
+            stack += value
+            continue
+        stack.pop()
+        pairs[top] = value.as_integer_ratio()
+        top = CycleKey(*top)
+        previous = cache.setdefault(top, value)
+        if previous is not value and previous != value:
+            raise RuntimeError(f"memo cache rebound {top}: {previous} vs {value}")
+    return cache[key]
 
 
-# A partition's transitions: (genus offset, index offset, child weights,
-# integer coefficient) per child.
-_Transitions = tuple[tuple[int, int, tuple[int, ...], int], ...]
-
-# Weights -> their transitions, filled on first use and kept for the life of
-# the process. An entry depends on nothing but its weights and is immutable,
-# so threads may share the table: two that race on one partition store equal
-# entries and either may stay.
-_TRANSITIONS: dict[tuple[int, ...], _Transitions] = {}
+# Weights -> (genus offset, index offset, child weights, integer coefficient)
+# per child, filled on first use and kept for the life of the process. Entries
+# are immutable and depend on the weights alone, so threads may share the
+# table: two that race on one partition store equal entries.
+_TRANSITIONS: dict[tuple[int, ...], tuple[tuple, ...]] = {}
 
 
-def _transitions(weights: tuple[int, ...]) -> _Transitions:
+def _transitions(weights: tuple[int, ...]) -> tuple[tuple, ...]:
     """One step's children for every (genus, index), from one ``recursion_terms``.
 
-    The step at (2, 1) keeps every child any (genus, index) can have and its
-    psi exponent n + 1 is positive, so ``recursion_terms`` there lists them
-    all; each coefficient becomes an integer over 12*N*(2g + n - 1).
+    At (2, 1) the exponent n + 1 is positive and every child any layer can
+    have is kept; coefficients become integers over 12*N*(2g + n - 1).
     """
     entries = _TRANSITIONS.get(weights)
     if entries is None:
@@ -206,36 +220,39 @@ def _transitions(weights: tuple[int, ...]) -> _Transitions:
     return entries
 
 
-def _step(genus: int, lam: int, weights: tuple[int, ...]) -> Fraction | list:
-    """A childless key's value, or the (integer coefficient, child) pairs of its step.
+def _state(genus: int, lam: int, weights: tuple, pairs: dict, cache: dict):
+    """A state's value from one pass over its step, or the children it lacks.
 
-    An index outside 0..genus gives 0, psi exponent 0 (a seed) the seed's
-    closed form, and a negative exponent ``UndefinedExponentError``: such a
-    key has no step, and no step reaches it. Children whose index leaves
-    0..genus vanish and are dropped.
+    An index outside 0..genus gives 0, psi exponent 0 a seed's closed form, a
+    negative one ``UndefinedExponentError``. Children in 0..genus are read as
+    integer pairs from ``pairs``, else from ``cache``, then kept in ``pairs``.
     """
     if not 0 <= lam <= genus:
         return _ZERO
     exponent = 2 * genus + len(weights) - 2 - lam
     if exponent == 0:
-        return _ONE if genus == 0 else Fraction(weights[0] * weights[0] - 1, 24)
+        return Fraction(weights[0] * weights[0] - 1, 24) if genus else Fraction(1)
     if exponent < 0:
         key = CycleKey(genus, lam, weights)
         raise UndefinedExponentError(
             f"undefined integrand exponent {exponent} for {key}"
         )
-    return [
-        (c, (genus + dg, lam + dl, child))
-        for dg, dl, child, c in _transitions(weights)
-        if 0 <= lam + dl <= genus + dg
-    ]
-
-
-def _combine(genus: int, weights: tuple[int, ...], children, cache) -> Fraction:
-    """The step's sum over child values in ``cache``, as one reduced Fraction."""
-    values = [(c, cache[child]) for c, child in children]
-    common = math.lcm(*[v.denominator for _, v in values])
-    numerator = sum([c * v.numerator * (common // v.denominator) for c, v in values])
+    terms, missing = [], []
+    for dg, dl, child_weights, c in _transitions(weights):
+        if 0 <= lam + dl <= genus + dg:
+            child = (genus + dg, lam + dl, child_weights)
+            pair = pairs.get(child)
+            if pair is None:
+                value = cache.get(child)
+                if value is None:
+                    missing.append(child)
+                    continue
+                pair = pairs[child] = value.as_integer_ratio()
+            terms.append((c, pair))
+    if missing:
+        return missing
+    common = math.lcm(*[d for _, (_, d) in terms])
+    numerator = sum([c * n * (common // d) for c, (n, d) in terms])
     scale = 12 * sum(weights) * (2 * genus + len(weights) - 1)
     return Fraction(numerator, common * scale)
 
@@ -243,42 +260,14 @@ def _combine(genus: int, weights: tuple[int, ...], children, cache) -> Fraction:
 def step_value(key: CycleKey, cache: dict[CycleKey, Fraction]) -> Fraction:
     """The value of ``key`` from one step over its children's values in ``cache``.
 
-    Vanishing keys give 0 and seeds their closed form without reading
-    ``cache``. A child missing from ``cache`` raises ``KeyError`` with that
-    child; a key with negative psi exponent raises ``UndefinedExponentError``.
+    Vanishing keys give 0 and seeds their closed form. The first child missing
+    from ``cache`` raises ``KeyError``, a negative psi exponent
+    ``UndefinedExponentError``.
     """
-    step = _step(*key)
-    if isinstance(step, list):
-        return _combine(key.genus, key.weights, step, cache)
-    return step
-
-
-def _evaluate(key: CycleKey, cache: dict[CycleKey, Fraction]) -> Fraction:
-    if _vanishes(key):
-        return _ZERO
-    # (key, None) until the key is expanded, then (key, its children) beneath
-    # its unresolved children, whose smaller psi exponent makes them resolve
-    # first. Children are plain tuples, equal to and hashed like their keys;
-    # a CycleKey is built once per state, when it enters the memo.
-    stack: list[tuple[tuple, list | None]] = [(key, None)]
-    while stack:
-        top, children = stack.pop()
-        if top in cache:
-            continue
-        genus, lam, weights = top
-        if children is not None:
-            value = _combine(genus, weights, children, cache)
-        else:
-            value = _step(genus, lam, weights)
-            if isinstance(value, list):
-                stack.append((top, value))
-                stack.extend((c, None) for _, c in value if c not in cache)
-                continue
-        top = CycleKey(genus, lam, weights)
-        previous = cache.setdefault(top, value)
-        if previous is not value and previous != value:
-            raise RuntimeError(f"memo cache rebound {top}: {previous} vs {value}")
-    return cache[key]
+    value = _state(*key, {}, cache)
+    if type(value) is list:
+        raise KeyError(value[0])
+    return value
 
 
 def save_cache(cache: dict[CycleKey, Fraction], path: str | os.PathLike) -> None:
@@ -300,6 +289,13 @@ def save_cache(cache: dict[CycleKey, Fraction], path: str | os.PathLike) -> None
             os.remove(temporary)
 
 
+# Key fields as save_cache writes them; int() would also take "+1", " 1",
+# "0_3", "01" and "-0".
+_KEY_FIELDS = re.compile(
+    r"(?:0|-?[1-9][0-9]*)\t(?:0|-?[1-9][0-9]*)\t[1-9][0-9]*(?:,[1-9][0-9]*)*\t"
+).match
+
+
 def load_cache(path: str | os.PathLike) -> dict[CycleKey, Fraction]:
     """Parse a cache file, rejecting any line that fails strict validation.
 
@@ -314,11 +310,13 @@ def load_cache(path: str | os.PathLike) -> dict[CycleKey, Fraction]:
             if not raw:
                 continue
             try:
-                fields = raw.decode("ascii").split("\t")
+                line = raw.decode("ascii")
+                fields = line.split("\t")
                 if len(fields) != 4:
                     raise ValueError("expected 4 tab-separated fields")
-                genus = int(fields[0])
-                lam = int(fields[1])
+                if not _KEY_FIELDS(line):
+                    raise ValueError("key fields must be canonical decimal integers")
+                genus, lam = int(fields[0]), int(fields[1])
                 weights = tuple(map(int, fields[2].split(",")))
                 value = parse_rational(fields[3])
                 key = canonical_key(genus, lam, weights)
@@ -329,10 +327,8 @@ def load_cache(path: str | os.PathLike) -> dict[CycleKey, Fraction]:
             if key.weights != weights:
                 raise ValueError(f"{path}:{lineno}: weights are not sorted")
             if key.exponent < 0:
-                raise ValueError(
-                    f"{path}:{lineno}: undefined integrand exponent"
-                    f" {key.exponent} for {key}"
-                )
+                message = f"undefined integrand exponent {key.exponent} for {key}"
+                raise ValueError(f"{path}:{lineno}: {message}")
             previous = cache.setdefault(key, value)
             if previous is not value and previous != value:
                 raise ValueError(f"{path}:{lineno}: conflicting duplicate entry")

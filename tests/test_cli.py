@@ -196,6 +196,16 @@ def _first_twice(rows):
     return rows[:1] + rows[:1] + rows[2:]
 
 
+def _last_pair_repeated(rows):
+    # same row count, and only the last adjacent pair out of order
+    return rows[:-2] + [rows[-1]] * 2
+
+
+def _last_weight_negated(rows):
+    (e, p, q) = rows[-1]
+    return rows[:-1] + [(e, -p, q)]
+
+
 def _one_weight_negated(rows):
     # same count, encodings and total: w0, w1 become -w0, w1 + 2 w0
     (e0, p0, q0), (e1, p1, q1) = rows[:2]
@@ -214,6 +224,8 @@ class TestSelfCheckedEnumeration:
             (_drop_last, "tree listing has 8 rows, expected 9"),
             (_repeat_first, "tree listing has 10 rows, expected 9"),
             (_first_twice, "tree listing is not strictly increasing by encoding"),
+            (_last_pair_repeated, "tree listing is not strictly increasing by encoding"),
+            (_last_weight_negated, "tree listing has a weight that is not positive"),
             (_one_weight_negated, "tree listing has a weight that is not positive"),
             (_one_weight_changed, "tree weights add up to"),
         ],
@@ -527,6 +539,17 @@ class TestDeterminismAndCache:
             " ordinal not in range(128)\n"
         )
         assert path.read_bytes() == before
+
+    def test_non_canonical_key_field_is_refused(self, capsys, tmp_path):
+        # int() reads "+1", " 1" and "0_3" as 1, 1 and 3: a seed's key.
+        path = tmp_path / "odd.txt"
+        path.write_text("+1\t 1\t0_3\t1/3\n")
+        code, out, err = run(
+            capsys, "w", "--g", "1", "--lambda", "1", "--weights", "3",
+            "--cache", str(path),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {path}:1: key fields must be canonical decimal integers\n"
 
     def test_table_memo_still_loads(self, capsys, tmp_path, table_8_memo):
         path = tmp_path / "memo.tsv"

@@ -379,12 +379,15 @@ class TestAgainstReferenceEvaluation:
                 k = CycleKey(genus, lam, tuple(sorted(weights)))
                 if k.exponent <= 0:
                     continue
-                scale = 12 * total * (2 * genus + len(weights) - 1)
-                mapped = sorted(
-                    (CycleKey(*child), Fraction(c, scale))
-                    for c, child in cutjoin._step(genus, lam, k.weights)
-                )
-                assert [(c, child) for child, c in mapped] == _reference_terms(k), k
+                # Each coefficient read through step_value: that child at 1,
+                # every other at 0. A child the step reads and the reference
+                # lacks is missing from the memo, a KeyError.
+                terms = _reference_terms(k)
+                zeros = {child: Fraction(0) for _, child in terms}
+                assert step_value(k, zeros) == 0, k
+                for c, child in terms:
+                    ones = {**zeros, child: Fraction(1)}
+                    assert step_value(k, ones) == c, (k, child)
 
 
 class TestMemoPinAndReach:
@@ -532,12 +535,23 @@ class TestCachePersistence:
             "1\t1\t1,2\t2/12",  # value not reduced
             "1\t1\t1,2\t0.5",
             "1\t1\t\t1/6",
+            # key fields that int() takes but save_cache never writes
+            "+1\t 1\t0_3\t1/3",
+            "+1\t1\t3\t1/3",
+            "1\t 1\t3\t1/3",
+            "1\t1\t0_3\t1/3",
+            "01\t1\t3\t1/3",
+            "1\t-0\t3\t1/3",
+            "1\t1\t03\t1/3",
+            "1\t1\t1,+2\t1/6",
+            "1\t1\t1, 2\t1/6",
+            "1\t1\t1,2 \t1/6",
         ],
     )
     def test_rejects_malformed_lines(self, tmp_path, line):
         path = tmp_path / "bad.tsv"
         path.write_text(line + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:1: ')}"):
             load_cache(path)
 
     @pytest.mark.parametrize(
