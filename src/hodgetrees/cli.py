@@ -2,12 +2,16 @@
 
 Subcommands compute single integrals or cycle values, enumerate decorated
 trees, print the integral table, print Bernoulli numbers, and run the exact
-verification checks. Values print as reduced fractions; pass ``--decimal D``
-where supported for a correctly rounded D-digit approximation, marked with a
-leading ``~``. ``integral`` and ``w`` take ``--cache FILE``, a saved memo;
-FILE is written only when it did not exist or the command added entries.
-``verify --check memo --cache FILE`` derives every entry of such a file
-again from the file's own values.
+verification checks. Each subcommand's parser names its handler, and
+``main`` calls it. The handlers of ``integral``, ``w``, ``trees sum`` and
+``bernoulli`` return a value, which ``main`` prints in one place: as a
+reduced fraction, or with ``--decimal D`` as a correctly rounded D-digit
+approximation marked with a leading ``~``. The other handlers write their
+own output and return the exit code. ``integral`` and ``w`` take
+``--cache FILE``, a saved memo; FILE is written only when it did not exist
+or the command added entries. ``verify --check memo --cache FILE`` derives
+every entry of such a file again from the file's own values. A single
+check refuses a ``--max-g`` or ``--max-n`` it does not take.
 Exit codes: 0 on success or all checks passing, 1 on a verification
 failure, 2 on a usage error (refused input, including a ``trees enumerate``
 input with more than ``ENUMERATION_LIMIT`` trees, or a file that cannot be
@@ -76,61 +80,6 @@ def _positive(text: str) -> int:
     return _at_least(text, 1, "positive")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hodgetrees",
-        description="Exact one-point Hodge integral calculator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_integral = sub.add_parser(
-        "integral", help="integral of psi^(3g-2-i) lambda_i at genus g"
-    )
-    p_integral.add_argument("--g", type=_positive, required=True)
-    p_integral.add_argument("--lambda", dest="lam", type=int, required=True)
-    p_integral.add_argument("--weights", type=_weights, default=(1,))
-    p_integral.add_argument("--cache", default=None)
-    p_integral.add_argument("--decimal", type=_positive, default=None)
-
-    p_cycle = sub.add_parser(
-        "w", help="cycle value for a genus, lambda index and weight list"
-    )
-    p_cycle.add_argument("--g", type=_nonnegative, required=True)
-    p_cycle.add_argument("--lambda", dest="lam", type=int, required=True)
-    p_cycle.add_argument("--weights", type=_weights, required=True)
-    p_cycle.add_argument("--cache", default=None)
-    p_cycle.add_argument("--decimal", type=_positive, default=None)
-
-    p_trees = sub.add_parser("trees", help="decorated tree enumeration and sums")
-    trees_sub = p_trees.add_subparsers(dest="trees_command", required=True)
-    p_enumerate = trees_sub.add_parser("enumerate", help="list trees with weights")
-    p_enumerate.add_argument("--g", type=_nonnegative, required=True)
-    p_enumerate.add_argument("--n", type=_positive, required=True)
-    p_enumerate.add_argument("--format", choices=("text", "json"), default="text")
-    p_sum = trees_sub.add_parser("sum", help="sum of tree weights")
-    p_sum.add_argument("--g", type=_nonnegative, required=True)
-    p_sum.add_argument("--n", type=_positive, required=True)
-    p_sum.add_argument("--decimal", type=_positive, default=None)
-
-    p_table = sub.add_parser("table", help="all integrals up to a genus bound")
-    p_table.add_argument("--max-g", dest="max_g", type=_positive, required=True)
-    p_table.add_argument("--format", choices=("tsv", "json"), default="tsv")
-
-    p_bernoulli = sub.add_parser("bernoulli", help="Bernoulli number B_m")
-    p_bernoulli.add_argument("--m", type=_nonnegative, required=True)
-    p_bernoulli.add_argument("--decimal", type=_positive, default=None)
-
-    p_verify = sub.add_parser("verify", help="run exact consistency checks")
-    p_verify.add_argument(
-        "--check", choices=(*CHECKS, "all", "memo"), required=True
-    )
-    p_verify.add_argument("--max-g", dest="max_g", type=_positive, default=None)
-    p_verify.add_argument("--max-n", dest="max_n", type=_positive, default=None)
-    p_verify.add_argument("--cache", default=None)
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    return parser
-
-
 def _value_text(value: Fraction, decimal_digits: int | None) -> str:
     if decimal_digits is None:
         return format_rational(value)
@@ -150,6 +99,19 @@ def _with_cache(args, compute) -> Fraction:
     return value
 
 
+def _integral(args) -> Fraction:
+    return _with_cache(
+        args, lambda cache: hodge_integral(args.g, args.lam, args.weights, cache)
+    )
+
+
+def _cycle(args) -> Fraction:
+    return _with_cache(
+        args,
+        lambda cache: cycle_value(canonical_key(args.g, args.lam, args.weights), cache),
+    )
+
+
 def _run_verify(args) -> int:
     if args.check == "memo":
         if args.cache is None or args.max_g is not None or args.max_n is not None:
@@ -160,9 +122,15 @@ def _run_verify(args) -> int:
     else:
         reports = []
         for name in CHECKS if args.check == "all" else (args.check,):
-            check, genus_param, leaf_param = CHECKS[name]
-            given = zip((genus_param, leaf_param), (args.max_g, args.max_n))
-            reports.append(check(**{p: v for p, v in given if p and v is not None}))
+            check, *params = CHECKS[name]
+            given = {}
+            bounds = zip(params, ("--max-g", "--max-n"), (args.max_g, args.max_n))
+            for param, flag, bound in bounds:
+                if bound is not None and param:
+                    given[param] = bound
+                elif bound is not None and args.check != "all":
+                    raise ValueError(f"--check {name} takes no {flag}")
+            reports.append(check(**given))
     if args.format == "json":
         payload = [r.to_json_obj() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload))
@@ -193,10 +161,7 @@ def _weight_texts(rows, count: int, total: Fraction) -> dict[tuple[int, int], st
     return {pair: format_rational(Fraction(*pair)) for pair in weights}
 
 
-def _run_trees(args) -> int:
-    if args.trees_command == "sum":
-        print(_value_text(tree_sum(args.g, args.n), args.decimal))
-        return 0
+def _run_enumerate(args) -> int:
     count = count_trees(args.g, args.n)
     if count > ENUMERATION_LIMIT:
         raise ValueError(
@@ -228,63 +193,86 @@ def _run_trees(args) -> int:
 
 
 def _run_table(args) -> int:
-    rows = hodge_table(args.max_g)
+    columns = ("g", "i", "psi_power", "integral")
+    rows = [
+        (g, i, 3 * g - 2 - i, format_rational(value))
+        for g, i, value in hodge_table(args.max_g)
+    ]
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "g": g,
-                        "i": i,
-                        "psi_power": 3 * g - 2 - i,
-                        "integral": format_rational(value),
-                    }
-                    for g, i, value in rows
-                ]
-            )
-        )
+        print(json.dumps([dict(zip(columns, row)) for row in rows]))
     else:
-        print("g\ti\tpsi_power\tintegral")
-        for g, i, value in rows:
-            print(f"{g}\t{i}\t{3 * g - 2 - i}\t{format_rational(value)}")
+        for row in (columns, *rows):
+            print(*row, sep="\t")
     return 0
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="hodgetrees",
+        description="Exact one-point Hodge integral calculator",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_integral = sub.add_parser(
+        "integral", help="integral of psi^(3g-2-i) lambda_i at genus g"
+    )
+    p_integral.set_defaults(handler=_integral)
+    p_cycle = sub.add_parser(
+        "w", help="cycle value for a genus, lambda index and weight list"
+    )
+    p_cycle.set_defaults(handler=_cycle)
+    p_trees = sub.add_parser("trees", help="decorated tree enumeration and sums")
+    trees_sub = p_trees.add_subparsers(dest="trees_command", required=True)
+    p_enumerate = trees_sub.add_parser("enumerate", help="list trees with weights")
+    p_enumerate.set_defaults(handler=_run_enumerate)
+    p_sum = trees_sub.add_parser("sum", help="sum of tree weights")
+    p_sum.set_defaults(handler=lambda args: tree_sum(args.g, args.n))
+    p_table = sub.add_parser("table", help="all integrals up to a genus bound")
+    p_table.set_defaults(handler=_run_table)
+    p_bernoulli = sub.add_parser("bernoulli", help="Bernoulli number B_m")
+    p_bernoulli.set_defaults(handler=lambda args: bernoulli(args.m))
+    p_verify = sub.add_parser("verify", help="run exact consistency checks")
+    p_verify.set_defaults(handler=_run_verify)
+
+    for p, g_type, weights in (
+        (p_integral, _positive, {"default": (1,)}),
+        (p_cycle, _nonnegative, {"required": True}),
+    ):
+        p.add_argument("--g", type=g_type, required=True)
+        p.add_argument("--lambda", dest="lam", type=int, required=True)
+        p.add_argument("--weights", type=_weights, **weights)
+        p.add_argument("--cache", default=None)
+    for p in p_enumerate, p_sum:
+        p.add_argument("--g", type=_nonnegative, required=True)
+        p.add_argument("--n", type=_positive, required=True)
+    p_enumerate.add_argument("--format", choices=("text", "json"), default="text")
+    p_table.add_argument("--max-g", dest="max_g", type=_positive, required=True)
+    p_table.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    p_bernoulli.add_argument("--m", type=_nonnegative, required=True)
+    for p in p_integral, p_cycle, p_sum, p_bernoulli:
+        p.add_argument("--decimal", type=_positive, default=None)
+    p_verify.add_argument("--check", choices=(*CHECKS, "all", "memo"), required=True)
+    p_verify.add_argument("--max-g", dest="max_g", type=_positive, default=None)
+    p_verify.add_argument("--max-n", dest="max_n", type=_positive, default=None)
+    p_verify.add_argument("--cache", default=None)
+    p_verify.add_argument("--format", choices=("text", "json"), default="text")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "integral":
-            value = _with_cache(
-                args,
-                lambda cache: hodge_integral(args.g, args.lam, args.weights, cache),
-            )
-            print(_value_text(value, args.decimal))
+        result = args.handler(args)
+        if "decimal" in args:  # the value commands, and only they, take --decimal
+            print(_value_text(result, args.decimal))
             return 0
-        if args.command == "w":
-            value = _with_cache(
-                args,
-                lambda cache: cycle_value(
-                    canonical_key(args.g, args.lam, args.weights), cache
-                ),
-            )
-            print(_value_text(value, args.decimal))
-            return 0
-        if args.command == "trees":
-            return _run_trees(args)
-        if args.command == "table":
-            return _run_table(args)
-        if args.command == "bernoulli":
-            print(_value_text(bernoulli(args.m), args.decimal))
-            return 0
-        if args.command == "verify":
-            return _run_verify(args)
+        return result
     except (ValueError, OSError) as exc:  # UndefinedExponentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
-    raise AssertionError("unreachable subcommand")
 
 
 if __name__ == "__main__":

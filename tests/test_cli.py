@@ -69,12 +69,15 @@ class TestSingleValues:
         assert out == f"1/{Decimal(8**3000 * math.factorial(3000))}\n"
 
     def test_decimal_flag(self, capsys):
-        code, out, _ = run(capsys, "bernoulli", "--m", "4", "--decimal", "8")
-        assert code == 0 and out == "~-0.033333333\n"
-        code, out, _ = run(
-            capsys, "integral", "--g", "1", "--lambda", "1", "--decimal", "6"
-        )
-        assert code == 0 and out == "~0.0416667\n"
+        # The four value commands, all printed at the one site in main.
+        for command, expected in [
+            ("bernoulli --m 4 --decimal 8", "~-0.033333333\n"),
+            ("integral --g 1 --lambda 1 --decimal 6", "~0.0416667\n"),
+            ("w --g 2 --lambda 1 --weights 1,1,1 --decimal 5", "~0.0083333\n"),
+            ("trees sum --g 2 --n 3 --decimal 5", "~0.0055556\n"),
+        ]:
+            code, out, _ = run(capsys, *command.split())
+            assert code == 0 and out == expected, command
 
 
 class TestTrees:
@@ -278,6 +281,22 @@ class TestVerify:
         ]
         code, out, _ = run(capsys, "verify", "--check", "oracle", "--max-g", "2")
         assert code == 0 and out.startswith("PASS oracle range g<=2 ")
+
+    @pytest.mark.parametrize(
+        "check, flag, bound",
+        [
+            ("genus0", "--max-g", "5"),
+            ("oracle", "--max-n", "3"),
+            ("independence", "--max-n", "1"),
+        ],
+    )
+    def test_single_check_refuses_a_bound_it_does_not_take(
+        self, capsys, check, flag, bound
+    ):
+        # --check all applies each bound only where it fits (test above).
+        code, out, err = run(capsys, "verify", "--check", check, flag, bound)
+        assert code == 2 and out == ""
+        assert err == f"error: --check {check} takes no {flag}\n"
 
     def test_single_check(self, capsys):
         code, out, _ = run(
@@ -650,3 +669,118 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as excinfo:
             main(["integral", "--g", "0", "--lambda", "0"])
         assert excinfo.value.code == 2
+
+
+# --help of every parser, at 80 columns, as argparse in Python 3.11 prints it.
+HELP_PAGES = {
+    "": """\
+usage: hodgetrees [-h] {integral,w,trees,table,bernoulli,verify} ...
+
+Exact one-point Hodge integral calculator
+
+positional arguments:
+  {integral,w,trees,table,bernoulli,verify}
+    integral            integral of psi^(3g-2-i) lambda_i at genus g
+    w                   cycle value for a genus, lambda index and weight list
+    trees               decorated tree enumeration and sums
+    table               all integrals up to a genus bound
+    bernoulli           Bernoulli number B_m
+    verify              run exact consistency checks
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "integral": """\
+usage: hodgetrees integral [-h] --g G --lambda LAM [--weights WEIGHTS]
+                           [--cache CACHE] [--decimal DECIMAL]
+
+options:
+  -h, --help         show this help message and exit
+  --g G
+  --lambda LAM
+  --weights WEIGHTS
+  --cache CACHE
+  --decimal DECIMAL
+""",
+    "w": """\
+usage: hodgetrees w [-h] --g G --lambda LAM --weights WEIGHTS [--cache CACHE]
+                    [--decimal DECIMAL]
+
+options:
+  -h, --help         show this help message and exit
+  --g G
+  --lambda LAM
+  --weights WEIGHTS
+  --cache CACHE
+  --decimal DECIMAL
+""",
+    "trees": """\
+usage: hodgetrees trees [-h] {enumerate,sum} ...
+
+positional arguments:
+  {enumerate,sum}
+    enumerate      list trees with weights
+    sum            sum of tree weights
+
+options:
+  -h, --help       show this help message and exit
+""",
+    "trees enumerate": """\
+usage: hodgetrees trees enumerate [-h] --g G --n N [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --g G
+  --n N
+  --format {text,json}
+""",
+    "trees sum": """\
+usage: hodgetrees trees sum [-h] --g G --n N [--decimal DECIMAL]
+
+options:
+  -h, --help         show this help message and exit
+  --g G
+  --n N
+  --decimal DECIMAL
+""",
+    "table": """\
+usage: hodgetrees table [-h] --max-g MAX_G [--format {tsv,json}]
+
+options:
+  -h, --help           show this help message and exit
+  --max-g MAX_G
+  --format {tsv,json}
+""",
+    "bernoulli": """\
+usage: hodgetrees bernoulli [-h] --m M [--decimal DECIMAL]
+
+options:
+  -h, --help         show this help message and exit
+  --m M
+  --decimal DECIMAL
+""",
+    "verify": """\
+usage: hodgetrees verify [-h] --check
+                         {tree-identity,bernoulli,genus0,oracle,independence,all,memo}
+                         [--max-g MAX_G] [--max-n MAX_N] [--cache CACHE]
+                         [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --check {tree-identity,bernoulli,genus0,oracle,independence,all,memo}
+  --max-g MAX_G
+  --max-n MAX_N
+  --cache CACHE
+  --format {text,json}
+""",
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", HELP_PAGES)
+    def test_help_bytes(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command.split(), "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr() == (HELP_PAGES[command], "")
