@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -30,8 +31,8 @@ from fractions import Fraction
 from itertools import islice
 from operator import ge, itemgetter
 
-from .cutjoin import canonical_key, cycle_value, load_cache, save_cache
-from .exact_arith import bernoulli, format_rational
+from .cutjoin import cycle_value, load_cache, save_cache
+from .exact_arith import _INTEGER, bernoulli, format_rational
 from .hodge import hodge_integral, hodge_table
 from .trees import count_trees, tree_sum, weighted_encodings
 
@@ -52,32 +53,36 @@ ENUMERATION_LIMIT = 2_000_000
 _BLOCK_ROWS = 4096
 
 
-def _weights(text: str) -> tuple[int, ...]:
+# Canonical integers, where int() alone also takes " 1", "0_1", "01" and "-0";
+# a value above 0 may keep the "+" sign that the CLI has always taken.
+_INTEGER_TEXT = re.compile(rf"(?:\+(?=[1-9]))?{_INTEGER}").fullmatch
+
+
+def _integer(text: str, low: int | None = None, error: str = "") -> int:
+    """The integer ``text`` spells, if at least ``low``; else ``error`` or int's."""
     try:
-        parts = tuple(int(piece) for piece in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed weight list: {text!r}")
+        value = int(text) if _INTEGER_TEXT(text) else None
+    except ValueError:  # past int()'s digit limit
+        value = None
+    if value is None or low is not None and value < low:
+        raise argparse.ArgumentTypeError(error or f"invalid int value: {text!r}")
+    return value
+
+
+def _weights(text: str) -> tuple[int, ...]:
+    error = f"malformed weight list: {text!r}"
+    parts = tuple(_integer(piece, error=error) for piece in text.split(","))
     if any(w < 1 for w in parts):
         raise argparse.ArgumentTypeError("weights must be positive integers")
     return parts
 
 
-def _at_least(text: str, low: int, kind: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = low - 1
-    if value < low:
-        raise argparse.ArgumentTypeError(f"expected a {kind} integer")
-    return value
-
-
 def _nonnegative(text: str) -> int:
-    return _at_least(text, 0, "nonnegative")
+    return _integer(text, 0, "expected a nonnegative integer")
 
 
 def _positive(text: str) -> int:
-    return _at_least(text, 1, "positive")
+    return _integer(text, 1, "expected a positive integer")
 
 
 def _value_text(value: Fraction, decimal_digits: int | None) -> str:
@@ -108,7 +113,7 @@ def _integral(args) -> Fraction:
 def _cycle(args) -> Fraction:
     return _with_cache(
         args,
-        lambda cache: cycle_value(canonical_key(args.g, args.lam, args.weights), cache),
+        lambda cache: cycle_value((args.g, args.lam, args.weights), cache),
     )
 
 
@@ -239,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
         (p_cycle, _nonnegative, {"required": True}),
     ):
         p.add_argument("--g", type=g_type, required=True)
-        p.add_argument("--lambda", dest="lam", type=int, required=True)
+        p.add_argument("--lambda", dest="lam", type=_integer, required=True)
         p.add_argument("--weights", type=_weights, **weights)
         p.add_argument("--cache", default=None)
     for p in p_enumerate, p_sum:

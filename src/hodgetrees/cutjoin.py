@@ -52,7 +52,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .exact_arith import format_rational, parse_rational
+from .exact_arith import _INTEGER, format_rational, parse_rational
 
 __all__ = [
     "CycleKey",
@@ -155,9 +155,9 @@ def recursion_terms(key: CycleKey) -> list[tuple[Fraction, CycleKey]]:
 
 
 def cycle_value(
-    key: CycleKey, cache: dict[CycleKey, Fraction] | None = None
+    key: tuple[int, int, Iterable[int]], cache: dict[CycleKey, Fraction] | None = None
 ) -> Fraction:
-    """Exact value of the cycle integral indexed by ``key``.
+    """Exact value of the cycle integral at ``key``: genus, index, weights in any order.
 
     ``cache`` maps keys to values and is filled as evaluation proceeds; a key
     already present is trusted and never recomputed. A negative psi exponent
@@ -289,10 +289,10 @@ def save_cache(cache: dict[CycleKey, Fraction], path: str | os.PathLike) -> None
             os.remove(temporary)
 
 
-# Key fields as save_cache writes them; int() would also take "+1", " 1",
-# "0_3", "01" and "-0".
+# Key fields as save_cache writes them, canonical integers: int() would also
+# take "+1", " 1", "0_3", "01" and "-0".
 _KEY_FIELDS = re.compile(
-    r"(?:0|-?[1-9][0-9]*)\t(?:0|-?[1-9][0-9]*)\t[1-9][0-9]*(?:,[1-9][0-9]*)*\t"
+    rf"{_INTEGER}\t{_INTEGER}\t[1-9][0-9]*(?:,[1-9][0-9]*)*\t"
 ).match
 
 

@@ -6,14 +6,11 @@ equalities of reduced fractions. This module supplies the pieces the standard
 library lacks: a strict canonical text form for rationals (used by the CLI,
 the JSON emitters and the cache files), dense truncated power series with
 exact coefficients, and a growing table of Bernoulli numbers. Series
-products, reciprocals and logarithms add up their terms as integers over a
-common denominator and reduce once per coefficient, so every value they
-return is still a reduced ``Fraction``. Reciprocals and logarithms share
-one power-series division: the reciprocal divides 1 by the series, and the
-logarithm divides the series' derivative by it and integrates the quotient.
-Only the oracle's ``sine_kernel``, the tests' reference, builds a series;
-``gf_expand`` uses none of them. Bernoulli numbers come from integer zigzag
-numbers, with one ``Fraction`` per table entry.
+products, reciprocals and logarithms add up ``Fraction`` terms one
+coefficient at a time. Only the oracle's ``sine_kernel``, the tests'
+reference, builds a series; ``gf_expand`` uses none of them. Bernoulli
+numbers come from integer zigzag numbers, with one ``Fraction`` per table
+entry.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ import threading
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
 
 __all__ = [
     "format_rational",
@@ -35,9 +31,10 @@ __all__ = [
 
 _ZERO = Fraction(0)
 
-# Canonical text: optional sign, no leading zeros, denominator present only
-# when it exceeds 1. "2/4", "1/0", "-0", "+1" and "01" are all rejected.
-_RATIONAL_RE = re.compile(r"(?:0|-?[1-9][0-9]*)(?:/[1-9][0-9]*)?")
+# A canonical integer, as the memo and the CLI read it: no space, "_", "+",
+# leading 0 or "-0". A rational adds a denominator above 1: not "2/4", "1/0".
+_INTEGER = r"(?:0|-?[1-9][0-9]*)"
+_RATIONAL_RE = re.compile(_INTEGER + r"(?:/[1-9][0-9]*)?")
 
 
 def format_rational(value: Fraction | int) -> str:
@@ -90,11 +87,10 @@ class TruncatedSeries:
     Coefficients are reduced ``Fraction``s, given as ``int`` or ``Fraction``
     (anything else, floats included, is refused with ``TypeError``), and
     instances are immutable after construction. Products, reciprocals and
-    logarithms accumulate each coefficient as one integer numerator over a
-    common denominator, then reduce it once. Products insist on equal order
-    bounds: silently mixing truncation orders would make "exact modulo t^N"
-    meaningless. Reciprocals need a nonzero constant term,
-    ``log`` a constant term of 1.
+    logarithms compute each coefficient as one sum of ``Fraction`` terms.
+    Products insist on equal order bounds: silently mixing truncation
+    orders would make "exact modulo t^N" meaningless. Reciprocals need a
+    nonzero constant term, ``log`` a constant term of 1.
     """
 
     __slots__ = ("order_bound", "coefficients")
@@ -139,11 +135,9 @@ class TruncatedSeries:
             n = self.order_bound
             if other.order_bound != n:
                 raise ValueError(f"mismatched order bounds: {n} vs {other.order_bound}")
-            a, a_den = _over_common_denominator(self.coefficients)
-            b, b_den = _over_common_denominator(other.coefficients)
-            den = a_den * b_den
+            a, b = self.coefficients, other.coefficients
             return TruncatedSeries(
-                [Fraction(sum(map(mul, a[: m + 1], b[m::-1])), den) for m in range(n)],
+                [sum((a[k] * b[m - k] for k in range(m + 1)), _ZERO) for m in range(n)],
                 n,
             )
         if isinstance(other, (int, Fraction)):
@@ -153,21 +147,26 @@ class TruncatedSeries:
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse modulo t**order_bound."""
-        if self.coefficients[0] == 0:
+        a = self.coefficients
+        if a[0] == 0:
             raise ValueError("series with zero constant term is not invertible")
-        n = self.order_bound
-        a, den = _over_common_denominator(self.coefficients)
-        return TruncatedSeries(_divide([den] + [0] * (n - 1), a), n)
+        # a_0 q_m = [m == 0] - sum_{k=1..m} a_k q_{m-k}
+        q = [1 / a[0]]
+        for m in range(1, self.order_bound):
+            q.append(-sum((a[k] * q[m - k] for k in range(1, m + 1)), _ZERO) / a[0])
+        return TruncatedSeries(q, self.order_bound)
 
     def log(self) -> "TruncatedSeries":
         """Formal logarithm; requires constant term 1."""
-        if self.coefficients[0] != 1:
+        a = self.coefficients
+        if a[0] != 1:
             raise ValueError("series logarithm requires constant term 1")
-        n = self.order_bound
-        a, _ = _over_common_denominator(self.coefficients)
-        # log(a)' = a'/a, integrated term by term
-        quotient = _divide([m * a[m] for m in range(1, n)], a)
-        return TruncatedSeries([_ZERO] + [q / m for m, q in enumerate(quotient, 1)], n)
+        # l' a = a', so m l_m = m a_m - sum_{k=1..m-1} k l_k a_{m-k}
+        log = [_ZERO]
+        for m in range(1, self.order_bound):
+            below = sum((k * log[k] * a[m - k] for k in range(1, m)), _ZERO)
+            log.append(a[m] - below / m)
+        return TruncatedSeries(log, self.order_bound)
 
 
 def _exact(value) -> Fraction:
@@ -178,34 +177,6 @@ def _exact(value) -> Fraction:
     raise TypeError(
         f"series coefficients must be int or Fraction, not {type(value).__name__}"
     )
-
-
-def _over_common_denominator(values) -> tuple[list[int], int]:
-    """Rationals as integer numerators over the lcm of their denominators."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _divide(dividend: list[int], divisor: list[int]) -> list[Fraction]:
-    """The first len(dividend) coefficients of dividend/divisor.
-
-    Both are integer numerators over one common denominator, which cancels.
-    Each quotient coefficient solves d_0 q_m = p_m - sum_{k=1..m} d_k q_{m-k};
-    the q found so far are kept as integers over a running lcm.
-    """
-    out: list[Fraction] = []
-    nums, den = [], 1  # out[j] == nums[j] / den for every j computed so far
-    for m, p in enumerate(dividend):
-        below = sum(map(mul, divisor[m:0:-1], nums))
-        value = Fraction(p * den - below, divisor[0] * den)
-        out.append(value)
-        grown = math.lcm(den, value.denominator)
-        if grown != den:
-            factor = grown // den
-            nums = [x * factor for x in nums]
-            den = grown
-        nums.append(value.numerator * (den // value.denominator))
-    return out
 
 
 _bernoulli_lock = threading.Lock()

@@ -42,8 +42,8 @@ def hodge_integral(
         cache = {}
     signed_sum = Fraction(0)
     for j in range(genus + 1):
-        key = canonical_key(genus, lam, aux + (1,) * j)
-        signed_sum += (-1) ** j * math.comb(genus, j) * cycle_value(key, cache)
+        value = cycle_value((genus, lam, (1,) * j + aux), cache)
+        signed_sum += (-1) ** j * math.comb(genus, j) * value
     return signed_sum * Fraction((-1) ** genus, math.factorial(genus))
 
 

@@ -654,6 +654,61 @@ class TestErrorPaths:
         code, out, _ = run(capsys, "integral", "--g", "+2", "--lambda", "1")
         assert code == 0 and out == "1/480\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("w", "--g", "2", "--lambda", "1", "--weights", "1_1"),
+                "malformed weight list: '1_1'",
+            ),
+            (
+                ("w", "--g", "1", "--lambda", "1", "--weights", " 3"),
+                "malformed weight list: ' 3'",
+            ),
+            (
+                ("w", "--g", "3", "--lambda", "1", "--weights", "1,02"),
+                "malformed weight list: '1,02'",
+            ),
+            (
+                ("w", "--g", "1", "--lambda", "-0", "--weights", "3"),
+                "invalid int value: '-0'",
+            ),
+            (("integral", "--g", "2", "--lambda", "+-1"), "invalid int value: '+-1'"),
+            (("integral", "--g", "2", "--lambda", "1 "), "invalid int value: '1 '"),
+            (
+                ("integral", "--g", "0_2", "--lambda", "1"),
+                "expected a positive integer",
+            ),
+            (("integral", "--g", "02", "--lambda", "1"), "expected a positive integer"),
+            (
+                ("w", "--g", "+0", "--lambda", "0", "--weights", "1,1"),
+                "expected a nonnegative integer",
+            ),
+            (("bernoulli", "--m", "-0"), "expected a nonnegative integer"),
+            (("trees", "sum", "--g", "1", "--n", "\t2"), "expected a positive integer"),
+        ],
+        ids=[
+            "weights-underscore",
+            "weights-space",
+            "weights-leading-zero",
+            "lambda-minus-zero",
+            "lambda-two-signs",
+            "lambda-space",
+            "g-underscore",
+            "g-leading-zero",
+            "g-plus-zero",
+            "m-minus-zero",
+            "n-tab",
+        ],
+    )
+    def test_only_canonical_integers(self, capsys, argv, message):
+        # int() takes each of these; the memo file refuses such key fields.
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(f": {message}\n")
+
     def test_out_of_range_lambda(self, capsys):
         code, _, err = run(capsys, "integral", "--g", "1", "--lambda", "2")
         assert code == 2 and "error:" in err

@@ -352,6 +352,7 @@ class TestAgainstReferenceEvaluation:
     @example(0, 0, [5], 0)  # undefined
     @example(2, 3, [1, 1], 0)  # vanishes
     @example(6, 3, [6, 6, 6, 6], 2)
+    @example(3, 1, [4, 1, 2], 0)  # unsorted
     def test_keys_from_empty_and_partial_memos(self, genus, lam, weights, keep):
         k = canonical_key(genus, lam, weights)
         full = {}
@@ -363,9 +364,10 @@ class TestAgainstReferenceEvaluation:
             return
         # keep = 0 starts from an empty memo, otherwise from every keep-th
         # entry of the full one, so evaluation stops early on some branches.
+        # The fast side gets the plain, unsorted key: cycle_value canonicalizes.
         start = dict(sorted(full.items())[::keep]) if keep else {}
         fast, reference = dict(start), dict(start)
-        assert cycle_value(k, fast) == expected
+        assert cycle_value((genus, lam, weights), fast) == expected
         assert reference_evaluate(k, reference) == expected
         assert_same_memos(fast, reference)
 

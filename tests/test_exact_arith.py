@@ -233,7 +233,7 @@ class TestSeries:
 
 
 def reference_mul(left, right):
-    """The product before its integer form: one Fraction multiply-add per term."""
+    """The product as nested loops: one Fraction multiply-add per nonzero pair."""
     if left.order_bound != right.order_bound:
         raise ValueError(
             f"mismatched order bounds: {left.order_bound} vs {right.order_bound}"
@@ -251,7 +251,7 @@ def reference_mul(left, right):
 
 
 def reference_reciprocal(s):
-    """The reciprocal before its integer form."""
+    """The reciprocal as a triangular solve scaled by the inverse constant term."""
     lead = s.coefficients[0]
     if lead == 0:
         raise ValueError("series with zero constant term is not invertible")
@@ -270,7 +270,7 @@ def reference_reciprocal(s):
 
 
 def reference_log(s):
-    """The logarithm before its integer form."""
+    """The logarithm from l_m = a_m - sum_k (k/m) l_k a_(m-k), skipping zeros."""
     if s.coefficients[0] != 1:
         raise ValueError("series logarithm requires constant term 1")
     n = s.order_bound
@@ -304,8 +304,8 @@ def reference_expansion(max_genus):
     return entries
 
 
-# Zeros, signs, and denominators that share no factor with one another, so a
-# wrong common denominator or a missed rescale shows in the numerators.
+# Zeros, signs, and denominators that share no factor with one another, so
+# every sum mixes denominators and a term dropped or misplaced shows.
 _COPRIME_DENOMINATORS = [1, 2, 3, 7**20, 10**9 + 7, 2**61 - 1, 2**89 - 1, 998244353]
 coefficients = st.one_of(
     st.just(Fraction(0)),
@@ -330,7 +330,7 @@ single_series = bounds.flatmap(truncated)
 
 
 class TestAgainstReference:
-    """The integer forms of multiply, reciprocal and log equal the old loops."""
+    """Multiply, reciprocal and log equal the reference loops, errors included."""
 
     @settings(max_examples=150, deadline=None)
     @given(series_pairs)
