@@ -95,6 +95,8 @@ def _value_text(value: Fraction, decimal_digits: int | None) -> str:
 
 
 def _with_cache(args, compute) -> Fraction:
+    if args.cache == "":
+        raise ValueError("--cache needs a file name, not ''")
     exists = bool(args.cache) and os.path.exists(args.cache)
     cache = load_cache(args.cache) if exists else {}
     loaded = len(cache)  # the memo never rebinds a key, so size counts additions

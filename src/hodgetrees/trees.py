@@ -84,17 +84,7 @@ def canonical_encoding(tree: DecoratedTree) -> str:
     two-child vertices as ``B<step>(x,y)`` with the children's encodings in
     lexicographic order, so sibling order in the value is irrelevant.
     """
-    if isinstance(tree, Leaf):
-        return f"L{tree.label}"
-    if isinstance(tree, Unary):
-        return f"U{tree.step}({canonical_encoding(tree.child)})"
-    if isinstance(tree, Binary):
-        a = canonical_encoding(tree.first)
-        b = canonical_encoding(tree.second)
-        if b < a:
-            a, b = b, a
-        return f"B{tree.step}({a},{b})"
-    raise TypeError(f"not a decorated tree node: {tree!r}")
+    return _inspect(tree)[2]
 
 
 def _check_parameters(genus: int, leaves: int) -> None:
@@ -253,66 +243,74 @@ def tree_sum(genus: int, leaves: int) -> Fraction:
     return Fraction(scaled, 12**genus * factorial(top) * leaves ** (leaves + genus - 1))
 
 
-def _inspect(tree: DecoratedTree) -> tuple[str | None, Fraction | None]:
-    """One walk over the tree: (first violated rule or None, weight or None).
+def _inspect(tree: DecoratedTree) -> tuple[str | None, Fraction | None, str]:
+    """One walk: (first violated rule or None, weight or None, canonical encoding).
 
-    The weight's integer numerator and denominator are multiplied up during
-    the walk, but the ``Fraction`` is built only once every rule has passed,
-    so a malformed step label of 0 is reported, never divided by.
+    Post-order over a stack of (node, step above, children done) entries.
+    The ``Fraction`` weight is built only once every rule has passed, so a
+    malformed step label of 0 is reported, never divided by.
     """
     labels: list[int] = []
     unary: list[int] = []
     binary: list[int] = []
     cap_on_leaf = descent_broken = False
     numer = denom = 1
-
-    def visit(node: DecoratedTree, above: int | None) -> int:
-        nonlocal cap_on_leaf, descent_broken, numer, denom
-        if isinstance(node, Leaf):
+    done: list[tuple[str, int]] = []  # encoding and leaf count per finished subtree
+    stack = [(tree, None, False)]
+    while stack:
+        node, above, finished = stack.pop()
+        if finished:
+            step = node.step
+            if isinstance(node, Unary):
+                enc, m = done.pop()
+                numer *= m * m * m - m
+                denom *= 12 * step
+                done.append((f"U{step}({enc})", m))
+            else:  # the smaller encoding first; equal ones give the same text
+                (a, i), (b, j) = sorted((done.pop(), done.pop()))
+                numer *= i + j
+                denom *= step
+                done.append((f"B{step}({a},{b})", i + j))
+        elif isinstance(node, Leaf):
             labels.append(node.label)
-            return 1
-        if not isinstance(node, (Unary, Binary)):
+            done.append((f"L{node.label}", 1))
+        elif not isinstance(node, (Unary, Binary)):
             raise TypeError(f"not a decorated tree node: {node!r}")
-        step = node.step
-        if above is not None and step <= above:
-            descent_broken = True
-        if isinstance(node, Unary):
-            unary.append(step)
-            cap_on_leaf = cap_on_leaf or isinstance(node.child, Leaf)
-            m = visit(node.child, step)
-            numer *= m * m * m - m
-            denom *= 12 * step
-            return m
-        binary.append(step)
-        m = visit(node.first, step) + visit(node.second, step)
-        numer *= m
-        denom *= step
-        return m
-
-    visit(tree, None)
-    n = len(labels)
+        else:
+            step = node.step
+            if above is not None and step <= above:
+                descent_broken = True
+            stack.append((node, None, True))
+            if isinstance(node, Unary):
+                unary.append(step)
+                cap_on_leaf = cap_on_leaf or isinstance(node.child, Leaf)
+                stack.append((node.child, step, False))
+            else:
+                binary.append(step)
+                stack += (node.second, step, False), (node.first, step, False)
+    ((encoding, n),) = done
     g = len(unary)
     if sorted(labels) != list(range(1, n + 1)):
-        return "leaf labels are not a bijection onto 1..n", None
+        return "leaf labels are not a bijection onto 1..n", None, encoding
     if cap_on_leaf:
-        return "a one-child vertex sits directly above a leaf", None
+        return "a one-child vertex sits directly above a leaf", None, encoding
     # Unneeded: these shapes always have n - 1 two-child vertices, and the fill
     # makes the root's least label 1 (two-child root) or 2 (one-child root).
     steps = unary + binary
     used = set(steps)
     if len(used) != len(steps):
-        return "step labels are not distinct", None
+        return "step labels are not distinct", None, encoding
     top = 2 * g + n - 1
     if not all(1 <= s <= top for s in steps):
-        return f"step label outside 1..{top}", None
+        return f"step label outside 1..{top}", None, encoding
     if descent_broken:
-        return "step labels do not increase from root to leaves", None
+        return "step labels do not increase from root to leaves", None, encoding
     for s in unary:
         if s < 2 or (s - 1) in used:
-            return "a one-child vertex fails to reserve its skipped slot", None
+            return "a one-child vertex fails to reserve its skipped slot", None, encoding
     if used | {s - 1 for s in unary} != set(range(1, top + 1)):
-        return f"used and skipped labels do not fill 1..{top}", None
-    return None, Fraction(numer, denom * n ** (n + g - 1))
+        return f"used and skipped labels do not fill 1..{top}", None, encoding
+    return None, Fraction(numer, denom * n ** (n + g - 1)), encoding
 
 
 def validate_tree(tree: DecoratedTree) -> str | None:
@@ -322,7 +320,7 @@ def validate_tree(tree: DecoratedTree) -> str | None:
 
 def tree_weight(tree: DecoratedTree) -> Fraction:
     """Exact weight of one decorated tree; rejects malformed trees."""
-    problem, weight = _inspect(tree)
+    problem, weight, _ = _inspect(tree)
     if problem is not None:
         raise ValueError(f"malformed decorated tree: {problem}")
     return weight

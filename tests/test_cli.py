@@ -523,6 +523,28 @@ class TestDeterminismAndCache:
         assert path.stat().st_mtime_ns == self.OLD_MTIME_NS
         assert os.listdir(tmp_path) == ["memo.tsv"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("integral", "--g", "2", "--lambda", "1"),
+            ("w", "--g", "2", "--lambda", "1", "--weights", "1,1,1"),
+        ],
+    )
+    def test_empty_cache_name_is_refused(self, capsys, tmp_path, monkeypatch, argv):
+        # refused before any value is computed, not taken as "no cache"
+        import hodgetrees.cli as cli
+
+        def computed(*args):
+            raise AssertionError("computed before refusing --cache ''")
+
+        monkeypatch.setattr(cli, "hodge_integral", computed)
+        monkeypatch.setattr(cli, "cycle_value", computed)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--cache", "")
+        assert (code, out) == (2, "")
+        assert err == "error: --cache needs a file name, not ''\n"
+        assert os.listdir(tmp_path) == []
+
     def test_corrupt_cache_rejected(self, capsys, tmp_path):
         path = tmp_path / "memo.tsv"
         path.write_text("not a cache line\n")

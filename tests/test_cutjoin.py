@@ -416,17 +416,6 @@ class TestMemoPinAndReach:
         assert len(cutjoin._TRANSITIONS) > 100
 
 
-def partitions(total, largest=None):
-    if largest is None:
-        largest = total
-    if total == 0:
-        yield ()
-        return
-    for part in range(min(total, largest), 0, -1):
-        for rest in partitions(total - part, part):
-            yield (part,) + rest
-
-
 class TestExpansionInvariants:
     def test_weight_conservation_and_reachability(self):
         # Transitive expansion from every valid start with total <= 8 and

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -63,6 +64,9 @@ class TestCounts:
         assert tree.step == 2 and isinstance(tree, Unary)
         ((encoding, _),) = iter_encoded_trees(1000, 2)
         assert encoding == weighted_encodings(1000, 2)[0][0]
+        assert canonical_encoding(tree) == encoding
+        assert validate_tree(tree) is None
+        assert tree_weight(tree) == tree_sum(1000, 2)
 
     @pytest.mark.parametrize("genus, leaves", [(-1, 2), (1, 0)])
     def test_rejects_bad_parameters(self, genus, leaves):
@@ -407,8 +411,27 @@ class TestValidationRules:
         assert str(excinfo.value) == f"malformed decorated tree: {message}"
 
     def test_rejects_foreign_node(self):
-        with pytest.raises(TypeError):
-            validate_tree(Binary(1, Leaf(1), "L2"))
+        # the first foreign node in child order is named, wherever it sits
+        for tree, named in [
+            ("L2", "L2"),
+            (None, None),
+            (Unary(2, "L2"), "L2"),
+            (Binary(1, "La", Leaf(2)), "La"),
+            (Binary(1, Leaf(1), "L2"), "L2"),
+            (Binary(1, None, Leaf(2)), None),
+            (Binary(1, "La", "Lb"), "La"),
+            (Binary(1, Binary(2, Leaf(1), "La"), "Lb"), "La"),
+        ]:
+            message = f"^not a decorated tree node: {re.escape(repr(named))}$"
+            for inspect in canonical_encoding, validate_tree, tree_weight:
+                with pytest.raises(TypeError, match=message):
+                    inspect(tree)
+
+    def test_labels_that_do_not_compare_as_numbers(self):
+        # one walk serves all three functions, so the encoding fails with the rules
+        for inspect in canonical_encoding, validate_tree, tree_weight:
+            with pytest.raises(TypeError):
+                inspect(Binary("x", Leaf(1), Leaf(2)))
 
 
 def _every_tree(labels, caps, top):
