@@ -7,24 +7,28 @@ over decorated rooted trees, and a closed-form expansion of the kernel
 rational arithmetic; there is no floating point anywhere.
 
 The package exports the names below; everything else is imported from the
-module that defines it, such as ``hodgetrees.verify``.
+module that defines it, such as ``hodgetrees.verify``. Each name imports
+its module on first use (PEP 562), so ``hodgetrees.oracle`` loads alone.
 """
-
-from .cutjoin import canonical_key, cycle_value
-from .hodge import hodge_integral
-from .oracle import gf_expand, oracle_integral
-from .trees import enumerate_trees, tree_sum, tree_weight
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "canonical_key",
-    "cycle_value",
-    "hodge_integral",
-    "tree_sum",
-    "enumerate_trees",
-    "tree_weight",
-    "gf_expand",
-    "oracle_integral",
-    "__version__",
-]
+# The exported names, by the module that defines each of them.
+_EXPORTS = {
+    "cutjoin": ("canonical_key", "cycle_value"),
+    "hodge": ("hodge_integral",),
+    "trees": ("tree_sum", "enumerate_trees", "tree_weight"),
+    "oracle": ("gf_expand", "oracle_integral"),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module  # no command reads these names
+
+    value = globals()[name] = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    return value

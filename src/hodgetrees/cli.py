@@ -8,10 +8,13 @@ verification checks. Each subcommand's parser names its handler, and
 reduced fraction, or with ``--decimal D`` as a correctly rounded D-digit
 approximation marked with a leading ``~``. The other handlers write their
 own output and return the exit code. ``integral`` and ``w`` take
-``--cache FILE``, a saved memo; FILE is written only when it did not exist
-or the command added entries. ``verify --check memo --cache FILE`` derives
-every entry of such a file again from the file's own values. A single
-check refuses a ``--max-g`` or ``--max-n`` it does not take.
+``--cache FILE``, a saved memo, every line of it checked; a hit (FILE
+holds every key the query reads) builds only those entries, and FILE is
+written only when it did not exist or the command added entries.
+``verify --check memo --cache FILE`` derives every entry of such a file
+again from the file's own values. A single check refuses a ``--max-g`` or
+``--max-n`` it does not take. Only the handlers that use ``verify`` and
+``json`` import them.
 Exit codes: 0 on success or all checks passing, 1 on a verification
 failure, 2 on a usage error (refused input, including a ``trees enumerate``
 input with more than ``ENUMERATION_LIMIT`` trees, or a file that cannot be
@@ -21,7 +24,6 @@ read or written), 3 on any other exception: an internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -31,14 +33,13 @@ from fractions import Fraction
 from itertools import islice
 from operator import ge, itemgetter
 
-from .cutjoin import cycle_value, load_cache, save_cache
+from .cutjoin import canonical_key, cycle_value, load_cache, save_cache
 from .exact_arith import _INTEGER, bernoulli, format_rational
-from .hodge import hodge_integral, hodge_table
+from .hodge import hodge_integral, hodge_table, integral_keys
 from .trees import count_trees, tree_sum, weighted_encodings
 
 # Not called here: bench/tracer.py wraps these names in this module.
 from .trees import canonical_encoding, enumerate_trees, tree_weight  # noqa: F401
-from .verify import CHECKS, check_memo
 
 __all__ = ["main"]
 
@@ -51,6 +52,16 @@ ENUMERATION_LIMIT = 2_000_000
 # trees enumerate writes its checked listing this many rows per write call:
 # an unbuffered stdout makes one system call per write.
 _BLOCK_ROWS = 4096
+
+# Every check in run order: name -> (function in hodgetrees.verify, parameter
+# of the genus bound, of the leaf bound). Defaults live in the signatures.
+CHECKS: dict[str, tuple[str, str | None, str | None]] = {
+    "tree-identity": ("check_tree_identity", "max_genus", "max_leaves"),
+    "bernoulli": ("check_bernoulli_identity", "max_genus", "max_extra"),
+    "genus0": ("check_genus0", None, "max_leaves"),
+    "oracle": ("check_oracle_agreement", "max_genus", None),
+    "independence": ("check_choice_independence", "max_genus", None),
+}
 
 
 # Canonical integers, where int() alone also takes " 1", "0_1", "01" and "-0";
@@ -94,42 +105,50 @@ def _value_text(value: Fraction, decimal_digits: int | None) -> str:
     return f"~{approx}"
 
 
-def _with_cache(args, compute) -> Fraction:
+def _with_cache(args, keys, compute) -> Fraction:
+    """``compute(memo)``, the memo from ``--cache``: only ``keys`` on a hit."""
     if args.cache == "":
         raise ValueError("--cache needs a file name, not ''")
     exists = bool(args.cache) and os.path.exists(args.cache)
-    cache = load_cache(args.cache) if exists else {}
+    cache = load_cache(args.cache, keys) if exists else {}
+    hit = exists and all(key in cache for key in keys)
     loaded = len(cache)  # the memo never rebinds a key, so size counts additions
     value = compute(cache)
+    if hit and len(cache) > loaded:
+        raise RuntimeError(f"a query answered from {args.cache} added entries")
     if args.cache and (len(cache) > loaded or not exists):
         save_cache(cache, args.cache)
     return value
 
 
 def _integral(args) -> Fraction:
+    keys = integral_keys(args.g, args.lam, args.weights)
     return _with_cache(
-        args, lambda cache: hodge_integral(args.g, args.lam, args.weights, cache)
+        args, keys, lambda cache: hodge_integral(args.g, args.lam, args.weights, cache)
     )
 
 
 def _cycle(args) -> Fraction:
-    return _with_cache(
-        args,
-        lambda cache: cycle_value((args.g, args.lam, args.weights), cache),
-    )
+    key = canonical_key(args.g, args.lam, args.weights)
+    keys = [key] if 0 <= key.lam <= key.genus else []  # else the value is 0
+    return _with_cache(args, keys, lambda cache: cycle_value(key, cache))
 
 
 def _run_verify(args) -> int:
+    import json
+
+    from . import verify
+
     if args.check == "memo":
         if args.cache is None or args.max_g is not None or args.max_n is not None:
             raise ValueError("--check memo takes --cache FILE and no range")
-        reports = [check_memo(args.cache)]
+        reports = [verify.check_memo(args.cache)]
     elif args.cache is not None:
         raise ValueError("--cache goes only with --check memo")
     else:
         reports = []
         for name in CHECKS if args.check == "all" else (args.check,):
-            check, *params = CHECKS[name]
+            function, *params = CHECKS[name]
             given = {}
             bounds = zip(params, ("--max-g", "--max-n"), (args.max_g, args.max_n))
             for param, flag, bound in bounds:
@@ -137,7 +156,7 @@ def _run_verify(args) -> int:
                     given[param] = bound
                 elif bound is not None and args.check != "all":
                     raise ValueError(f"--check {name} takes no {flag}")
-            reports.append(check(**given))
+            reports.append(getattr(verify, function)(**given))
     if args.format == "json":
         payload = [r.to_json_obj() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload))
@@ -206,6 +225,8 @@ def _run_table(args) -> int:
         for g, i, value in hodge_table(args.max_g)
     ]
     if args.format == "json":
+        import json
+
         print(json.dumps([dict(zip(columns, row)) for row in rows]))
     else:
         for row in (columns, *rows):

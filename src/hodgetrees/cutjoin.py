@@ -50,9 +50,10 @@ import os
 import re
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
-from .exact_arith import _INTEGER, format_rational, parse_rational
+from .exact_arith import _INTEGER, format_rational, rational_pair
+from .exact_arith import parse_rational  # noqa: F401  bench/tracer.py wraps it here
 
 __all__ = [
     "CycleKey",
@@ -296,15 +297,19 @@ _KEY_FIELDS = re.compile(
 ).match
 
 
-def load_cache(path: str | os.PathLike) -> dict[CycleKey, Fraction]:
+def load_cache(
+    path: str | os.PathLike, keys: Collection[CycleKey] | None = None
+) -> dict[CycleKey, Fraction]:
     """Parse a cache file, rejecting any line that fails strict validation.
 
     Besides malformed lines, entries that no evaluation writes are refused:
     an index outside 0..genus (such values vanish and are never stored), and
     a negative psi exponent (undefined). Evaluation trusts every loaded
-    entry, so neither may reach it.
+    entry, so neither may reach it. Every line is checked either way; the
+    memo is the canonical ``keys`` alone if the file has them all.
     """
-    cache: dict[CycleKey, Fraction] = {}
+    pairs: dict[tuple, tuple[int, int]] = {}
+    checked: dict[str, tuple[int, ...]] = {}  # weights text -> sorted weights
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle.read().splitlines(), start=1):
             if not raw:
@@ -316,20 +321,26 @@ def load_cache(path: str | os.PathLike) -> dict[CycleKey, Fraction]:
                     raise ValueError("expected 4 tab-separated fields")
                 if not _KEY_FIELDS(line):
                     raise ValueError("key fields must be canonical decimal integers")
-                genus, lam = int(fields[0]), int(fields[1])
-                weights = tuple(map(int, fields[2].split(",")))
-                value = parse_rational(fields[3])
-                key = canonical_key(genus, lam, weights)
+                genus, lam, text = int(fields[0]), int(fields[1]), fields[2]
+                weights = checked.get(text) or tuple(map(int, text.split(",")))
+                value = rational_pair(fields[3])
+                if genus < 0:
+                    raise ValueError("genus must be nonnegative")
+                if not 0 <= lam <= genus:
+                    raise ValueError(f"lambda {lam} outside 0..{genus}")
+                if text not in checked:  # each distinct weight list, once
+                    if list(weights) != sorted(weights):
+                        raise ValueError("weights are not sorted")
+                    checked[text] = weights
+                exponent = 2 * genus + len(weights) - 2 - lam
+                if exponent < 0:
+                    key = CycleKey(genus, lam, weights)
+                    message = f"undefined integrand exponent {exponent} for {key}"
+                    raise ValueError(message)
+                if pairs.setdefault((genus, lam, weights), value) != value:
+                    raise ValueError("conflicting duplicate entry")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not 0 <= lam <= genus:
-                raise ValueError(f"{path}:{lineno}: lambda {lam} outside 0..{genus}")
-            if key.weights != weights:
-                raise ValueError(f"{path}:{lineno}: weights are not sorted")
-            if key.exponent < 0:
-                message = f"undefined integrand exponent {key.exponent} for {key}"
-                raise ValueError(f"{path}:{lineno}: {message}")
-            previous = cache.setdefault(key, value)
-            if previous is not value and previous != value:
-                raise ValueError(f"{path}:{lineno}: conflicting duplicate entry")
-    return cache
+    if keys is None or not all(key in pairs for key in keys):
+        keys = pairs
+    return {CycleKey(*key): Fraction(*pairs[key]) for key in keys}

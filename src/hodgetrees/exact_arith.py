@@ -25,6 +25,7 @@ from itertools import accumulate
 __all__ = [
     "format_rational",
     "parse_rational",
+    "rational_pair",
     "TruncatedSeries",
     "bernoulli",
 ]
@@ -39,7 +40,7 @@ _RATIONAL_RE = re.compile(_INTEGER + r"(?:/[1-9][0-9]*)?")
 
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as ``p/q`` with q > 0 and gcd(p, q) = 1, or plain ``p``."""
-    value = Fraction(value)
+    value = value if isinstance(value, Fraction) else Fraction(value)  # True as 1
     try:
         return str(value)
     except ValueError:  # str() of a huge int is refused; Decimal's is not
@@ -69,6 +70,11 @@ def _long_int(text: str) -> int:
 
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical text form, rejecting anything not in lowest terms."""
+    return Fraction(*rational_pair(text))
+
+
+def rational_pair(text: str) -> tuple[int, int]:
+    """``parse_rational`` as (numerator, denominator), with no ``Fraction`` built."""
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a canonical rational: {text!r}")
     p_text, slash, q_text = text.partition("/")
@@ -78,7 +84,7 @@ def parse_rational(text: str) -> Fraction:
         p, q = _long_int(p_text), _long_int(q_text or "1")
     if slash and (q == 1 or math.gcd(p, q) != 1):
         raise ValueError(f"rational not in lowest terms: {text!r}")
-    return Fraction(p, q)
+    return p, q
 
 
 class TruncatedSeries:

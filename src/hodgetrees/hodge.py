@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .cutjoin import CycleKey, canonical_key, cycle_value
 
-__all__ = ["hodge_integral", "hodge_table"]
+__all__ = ["hodge_integral", "hodge_table", "integral_keys"]
 
 
 def hodge_integral(
@@ -37,14 +37,19 @@ def hodge_integral(
         raise ValueError("genus must be at least 1")
     if not 0 <= lam <= genus:
         raise ValueError("lambda index must lie in 0..genus")
-    aux = canonical_key(genus, lam, aux_weights).weights
     if cache is None:
         cache = {}
     signed_sum = Fraction(0)
-    for j in range(genus + 1):
-        value = cycle_value((genus, lam, (1,) * j + aux), cache)
+    for j, key in enumerate(integral_keys(genus, lam, aux_weights)):
+        value = cycle_value(key, cache)
         signed_sum += (-1) ** j * math.comb(genus, j) * value
     return signed_sum * Fraction((-1) ** genus, math.factorial(genus))
+
+
+def integral_keys(genus: int, lam: int, aux: Iterable[int] = (1,)) -> list[CycleKey]:
+    """The g + 1 cycle keys ``hodge_integral`` reads, for j = 0..g unit weights."""
+    aux = canonical_key(genus, lam, aux).weights
+    return [canonical_key(genus, lam, (1,) * j + aux) for j in range(genus + 1)]
 
 
 def hodge_table(

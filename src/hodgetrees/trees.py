@@ -59,19 +59,57 @@ __all__ = [
 ]
 
 
+def _equal(self, other) -> bool:
+    """Tuple ``==`` with a stack, not recursion; ``object.__ne__`` inverts it."""
+    if not isinstance(other, tuple):
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        nested = isinstance(a, tuple) and isinstance(b, tuple)
+        if nested and len(a) == len(b):  # reversed: items compare left to right
+            stack += zip(reversed(a), reversed(b))
+        elif nested or (a is not b and not a == b):  # a length or an item differs
+            return False
+    return True
+
+
+def _text(self) -> str:
+    """The ``NamedTuple`` repr over a stack, where its own recurses."""
+    parts, stack = [], [self]  # the stack holds nodes, and text to copy as it is
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        stack.append(")")
+        for i in reversed(range(len(item))):
+            value = item[i]
+            head = ", " if i else f"{type(item).__name__}("
+            nested = isinstance(value, (Leaf, Unary, Binary))
+            stack += value if nested else repr(value), f"{head}{item._fields[i]}="
+    return "".join(parts)
+
+
 class Leaf(NamedTuple):
     label: int
+
+    __eq__, __ne__, __hash__, __repr__ = _equal, object.__ne__, tuple.__hash__, _text
 
 
 class Unary(NamedTuple):
     step: int
     child: "DecoratedTree"
 
+    __eq__, __ne__, __hash__, __repr__ = _equal, object.__ne__, tuple.__hash__, _text
+
 
 class Binary(NamedTuple):
     step: int
     first: "DecoratedTree"
     second: "DecoratedTree"
+
+    __eq__, __ne__, __hash__, __repr__ = _equal, object.__ne__, tuple.__hash__, _text
 
 
 DecoratedTree = Union[Leaf, Unary, Binary]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .cutjoin import cycle_value, load_cache, step_value
 from .exact_arith import format_rational
@@ -20,7 +20,6 @@ from .oracle import bernoulli_rhs, gf_expand, oracle_integral
 from .trees import tree_sum
 
 __all__ = [
-    "CHECKS",
     "CheckReport",
     "check_tree_identity",
     "check_bernoulli_identity",
@@ -186,14 +185,3 @@ def check_memo(path: str) -> CheckReport:
 
     return _report("memo", f"cache={path}", cases())
 
-
-# Every check in run order: name -> (function, the parameter that takes a
-# genus bound, the parameter that takes a leaf bound). Default ranges live
-# only in the functions' signatures.
-CHECKS: dict[str, tuple[Callable[..., CheckReport], str | None, str | None]] = {
-    "tree-identity": (check_tree_identity, "max_genus", "max_leaves"),
-    "bernoulli": (check_bernoulli_identity, "max_genus", "max_extra"),
-    "genus0": (check_genus0, None, "max_leaves"),
-    "oracle": (check_oracle_agreement, "max_genus", None),
-    "independence": (check_choice_independence, "max_genus", None),
-}

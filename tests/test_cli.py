@@ -2,20 +2,29 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+import hodgetrees
 from hodgetrees.cli import _BLOCK_ROWS, main
-from hodgetrees.cutjoin import canonical_key, load_cache, save_cache, step_value
+from hodgetrees.cutjoin import (
+    canonical_key,
+    cycle_value,
+    load_cache,
+    save_cache,
+    step_value,
+)
 from hodgetrees.exact_arith import format_rational
-from hodgetrees.hodge import hodge_integral, hodge_table
+from hodgetrees.hodge import hodge_integral, hodge_table, integral_keys
 from hodgetrees.trees import (
     canonical_encoding,
     count_trees,
     enumerate_trees,
+    tree_sum,
     tree_weight,
     weighted_encodings,
 )
@@ -600,6 +609,166 @@ class TestDeterminismAndCache:
         )
         assert code == 0 and out == f"{format_rational(hodge_integral(8, 3))}\n"
         assert path.read_text(encoding="ascii") == table_8_memo
+
+
+HITS = [
+    ("integral", "--g", "3", "--lambda", "1"),
+    ("w", "--g", "2", "--lambda", "1", "--weights", "1,1,1"),
+]
+
+
+class TestKeyedLoad:
+    """A hit builds only the entries it reads, and still checks every line."""
+
+    def memo(self, capsys, tmp_path):
+        """A memo written by ``integral --g 3 --lambda 1``; every HITS key is in it."""
+        path = tmp_path / "memo.tsv"
+        assert run(capsys, *HITS[0], "--cache", str(path)) == (0, "7/138240\n", "")
+        keys = {*integral_keys(3, 1), canonical_key(2, 1, (1, 1, 1))}
+        assert keys <= load_cache(path).keys()
+        return path
+
+    @staticmethod
+    def record_loads(monkeypatch):
+        """A copy of the memo each ``load_cache`` call of the CLI returns."""
+        import hodgetrees.cli as cli
+
+        loaded = []
+
+        def recorded(*args):
+            memo = load_cache(*args)
+            loaded.append(dict(memo))  # as loaded, before the query adds to it
+            return memo
+
+        monkeypatch.setattr(cli, "load_cache", recorded)
+        return loaded
+
+    @pytest.mark.parametrize(
+        "argv, reads",
+        [
+            (HITS[0], integral_keys(3, 1)),
+            (HITS[1], [canonical_key(2, 1, (1, 1, 1))]),
+            (("w", "--g", "2", "--lambda", "3", "--weights", "1,1,1"), []),
+        ],
+    )
+    def test_hit_builds_only_its_own_entries(
+        self, capsys, tmp_path, monkeypatch, argv, reads
+    ):
+        path = self.memo(capsys, tmp_path)
+        before = path.read_bytes()
+        loaded = self.record_loads(monkeypatch)
+        code, out, _ = run(capsys, *argv, "--cache", str(path))
+        assert code == 0 and out
+        assert loaded == [{key: load_cache(path)[key] for key in reads}]
+        assert path.read_bytes() == before
+
+    def test_miss_loads_every_entry(self, capsys, tmp_path, monkeypatch):
+        path = self.memo(capsys, tmp_path)
+        full = load_cache(path)
+        loaded = self.record_loads(monkeypatch)
+        argv = ("integral", "--g", "3", "--lambda", "1", "--weights", "9")
+        code, _, _ = run(capsys, *argv, "--cache", str(path))
+        assert code == 0
+        assert loaded == [full] and len(load_cache(path)) > len(full)
+
+    @pytest.mark.parametrize("argv", HITS)
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b"1\t1\t1,2", "expected 4 tab-separated fields"),
+            (b"+1\t1\t3\t1/3", "key fields must be canonical decimal integers"),
+            (
+                b"1\t1\t3\t\xc3\xa9",
+                "'ascii' codec can't decode byte 0xc3 in position 6:"
+                " ordinal not in range(128)",
+            ),
+            (b"1\t1\t3\t1/1", "rational not in lowest terms: '1/1'"),
+            (b"1\t1\t3\t2/4", "rational not in lowest terms: '2/4'"),
+            (b"1\t2\t3\t1/2", "lambda 2 outside 0..1"),
+            (b"1\t1\t2,1\t1/6", "weights are not sorted"),
+            (
+                b"0\t0\t5\t7",
+                "undefined integrand exponent -1 for CycleKey(genus=0, lam=0,"
+                " weights=(5,))",
+            ),
+            (b"1\t1\t1,1\t7", "conflicting duplicate entry"),
+        ],
+    )
+    def test_every_refusal_fires_on_a_hit(
+        self, capsys, tmp_path, argv, line, message
+    ):
+        path = self.memo(capsys, tmp_path)
+        assert b"\n1\t1\t1,1\t1/24\n" in path.read_bytes()  # what the duplicate conflicts with
+        with open(path, "ab") as handle:
+            handle.write(line + b"\n")
+        before = path.read_bytes()
+        lineno = before.count(b"\n")
+        code, out, err = run(capsys, *argv, "--cache", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:{lineno}: {message}\n"
+        assert path.read_bytes() == before
+
+    def test_subset_memo_is_never_saved(self, capsys, tmp_path, monkeypatch):
+        import hodgetrees.cli as cli
+
+        path = self.memo(capsys, tmp_path)
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            cli, "integral_keys", lambda *args: integral_keys(*args)[:-1]
+        )
+        code, out, err = run(capsys, *HITS[0], "--cache", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: internal: a query answered from {path} added entries\n"
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["memo.tsv"]
+
+
+class TestImportsStayLazy:
+    @staticmethod
+    def new_modules(code, watched):
+        """Which ``watched`` modules ``code`` imports, in a fresh interpreter."""
+        src = os.path.dirname(os.path.dirname(hodgetrees.__file__))
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        probe = (
+            f"import sys; before = set(sys.modules); {code};"
+            f" print(sorted(({set(watched)!r} & set(sys.modules)) - before),"
+            " file=sys.stderr)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return result.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integral", "--g", "2", "--lambda", "1"],
+            ["w", "--g", "2", "--lambda", "1", "--weights", "1,1,1"],
+            ["trees", "enumerate", "--g", "1", "--n", "3"],
+            ["table", "--max-g", "3"],
+        ],
+    )
+    def test_commands_skip_verify_oracle_and_json(self, argv):
+        code = f"from hodgetrees.cli import main; main({argv!r})"
+        watched = "hodgetrees.verify", "hodgetrees.oracle", "json"
+        assert self.new_modules(code, watched) == "[]\n"
+
+    def test_oracle_imports_no_other_pipeline(self):
+        watched = "hodgetrees.cutjoin", "hodgetrees.hodge", "hodgetrees.trees"
+        assert self.new_modules("import hodgetrees.oracle", watched) == "[]\n"
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from hodgetrees import *", namespace)
+        assert set(hodgetrees.__all__) <= namespace.keys()
+        assert namespace["cycle_value"] is cycle_value
+        assert namespace["tree_sum"] is tree_sum
+        with pytest.raises(AttributeError, match="has no attribute 'verify_all'"):
+            hodgetrees.verify_all
 
 
 class TestErrorPaths:

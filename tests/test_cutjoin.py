@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -598,6 +599,28 @@ class TestCachePersistence:
         assert path.read_bytes() == snapshot
         assert load_cache(path) == old
         assert [p.name for p in tmp_path.iterdir()] == ["memo.tsv"]
+
+    def test_keyed_load_equals_full_load(self, tmp_path):
+        memo = {}
+        hodge_table(4, memo)
+        path = tmp_path / "memo.tsv"
+        save_cache(memo, path)
+        full = load_cache(path)
+        assert full == memo
+        every = sorted(full)
+        rng = random.Random(19)
+        key_sets = [[], every, every[:1], every[-1:]] + [
+            rng.sample(every, size) for size in (1, 2, 5, 17, 100) for _ in range(4)
+        ]
+        for keys in key_sets:
+            keyed = load_cache(path, keys)
+            assert keyed == {k: full[k] for k in keys}
+            assert all(type(k) is CycleKey for k in keyed)
+            assert all(type(v) is Fraction for v in keyed.values())
+            absent = key(4, 1, (1, 1, 1, 1, 1, 1, 9))
+            assert absent not in full
+            for at in 0, len(keys):  # one absent key: the whole memo
+                assert load_cache(path, [*keys[:at], absent, *keys[at:]]) == full
 
     def test_rejects_conflicting_duplicates(self, tmp_path):
         path = tmp_path / "dup.tsv"

@@ -12,6 +12,7 @@ from hodgetrees.exact_arith import (
     bernoulli,
     format_rational,
     parse_rational,
+    rational_pair,
 )
 from hodgetrees.oracle import gf_expand
 
@@ -70,6 +71,35 @@ class TestRationalText:
         text = format_rational(x)
         assert text == f"-3/{Decimal(7**6000)}"
         assert parse_rational(text) == x
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (5, "5"),
+            (-12, "-12"),
+            (0, "0"),
+            (True, "1"),  # a bool prints as the integer it is, not as "True"
+            (False, "0"),
+        ],
+    )
+    def test_format_of_ints_and_bools(self, value, text):
+        assert format_rational(value) == text
+
+    def test_format_of_values_past_the_digit_limit(self):
+        big = 7**6000
+        assert format_rational(big) == str(Decimal(big))  # an int
+        assert format_rational(Fraction(big, 2)) == f"{Decimal(big)}/2"
+        assert format_rational(Fraction(-(10**4400))) == "-1" + "0" * 4400
+
+    def test_pair_is_the_parsed_value(self):
+        for text in ("0", "-7/2880", "3", f"1/{_BIG}", f"-{_BIG_TWO}/{_BIG}"):
+            p, q = rational_pair(text)
+            assert type(p) is int and type(q) is int
+            value = parse_rational(text)
+            assert (p, q) == (value.numerator, value.denominator)
+        for text in ("2/4", "1/1", "+1", ""):
+            with pytest.raises(ValueError):
+                rational_pair(text)
 
 
 def reference_parse(text):

@@ -68,10 +68,49 @@ class TestCounts:
         assert validate_tree(tree) is None
         assert tree_weight(tree) == tree_sum(1000, 2)
 
+    def test_deep_equality_and_repr(self):
+        # the same tree from both walks: two objects, 1001 nodes deep
+        assert sys.getrecursionlimit() <= 1000
+        (tree,) = enumerate_trees(1000, 2)
+        ((_, other),) = iter_encoded_trees(1000, 2)
+        assert tree is not other
+        assert tree == other and not tree != other
+        assert hash(tree) == hash(other)
+        assert tree != Unary(2, other) and tree != other.child
+        expected = (
+            "".join(f"Unary(step={s}, child=" for s in range(2, 2001, 2))
+            + "Binary(step=2001, first=Leaf(label=1), second=Leaf(label=2))"
+            + ")" * 1000
+        )
+        assert repr(tree) == repr(other) == expected
+
     @pytest.mark.parametrize("genus, leaves", [(-1, 2), (1, 0)])
     def test_rejects_bad_parameters(self, genus, leaves):
         with pytest.raises(ValueError):
             enumerate_trees(genus, leaves)
+
+
+class TestNodesAsTuples:
+    def test_repr_of_shallow_trees(self):
+        assert repr(Leaf(1)) == "Leaf(label=1)"
+        assert repr(UNIT_PAIR_TREE) == (
+            "Unary(step=2, child=Binary(step=3, first=Leaf(label=1),"
+            " second=Leaf(label=2)))"
+        )
+        assert repr(Binary("x", Leaf("a"), None)) == (
+            "Binary(step='x', first=Leaf(label='a'), second=None)"
+        )
+
+    def test_tuple_equality_and_hash(self):
+        assert Leaf(1) == (1,) and (1,) == Leaf(1)
+        assert UNIT_PAIR_TREE == (2, (3, (1,), (2,)))
+        assert Leaf(1) != Leaf(2) and Leaf(1) != Unary(1, Leaf(1))
+        assert Binary(3, Leaf(1), Leaf(2)) != Binary(3, Leaf(2), Leaf(1))
+        assert Leaf(1) != 1 and Leaf(1).__eq__(1) is NotImplemented
+        nan = float("nan")
+        assert Leaf(nan) == Leaf(nan) and Leaf(float("nan")) != Leaf(nan)
+        assert hash(UNIT_PAIR_TREE) == hash((2, (3, (1,), (2,))))
+        assert {UNIT_PAIR_TREE: 1}[Unary(2, Binary(3, Leaf(1), Leaf(2)))] == 1
 
 
 class TestEncoding:

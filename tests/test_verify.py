@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hodgetrees
+import hodgetrees.cli as cli
 import hodgetrees.verify as verify
 from hodgetrees.oracle import gf_expand
 from hodgetrees.verify import (
@@ -148,9 +149,9 @@ def test_readme_default_ranges_match_signatures():
     rows = row.findall(readme.read_text(encoding="utf-8"))
     table = {name: cell.strip() for name, cell in rows}
     assert table.pop("all") == ""
-    assert list(table) == list(verify.CHECKS)
-    for name, (check, genus_param, leaf_param) in verify.CHECKS.items():
-        defaults = inspect.signature(check).parameters
+    assert list(table) == list(cli.CHECKS)
+    for name, (function, genus_param, leaf_param) in cli.CHECKS.items():
+        defaults = inspect.signature(getattr(verify, function)).parameters
         expected = ", ".join(
             f"{letter} <= {defaults[param].default}"
             for letter, param in (("g", genus_param), ("n", leaf_param))
