@@ -13,19 +13,18 @@ holds every key the query reads) builds only those entries, and FILE is
 written only when it did not exist or the command added entries.
 ``verify --check memo --cache FILE`` derives every entry of such a file
 again from the file's own values. A single check refuses a ``--max-g`` or
-``--max-n`` it does not take. Only the handlers that use ``verify`` and
-``json`` import them.
+``--max-n`` it does not take. Only the handlers that use ``verify``,
+``json`` or the tree pipeline import them.
 Exit codes: 0 on success or all checks passing, 1 on a verification
-failure, 2 on a usage error (refused input, including a ``trees enumerate``
-input with more than ``ENUMERATION_LIMIT`` trees, or a file that cannot be
-read or written), 3 on any other exception: an internal error.
+failure, 2 on a usage error (refused input, such as ``trees enumerate`` past
+``ENUMERATION_LIMIT`` trees or ``table --max-g`` past ``TABLE_GENUS_LIMIT``,
+or a file that cannot be read or written), 3 on an internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -34,20 +33,36 @@ from itertools import islice
 from operator import ge, itemgetter
 
 from .cutjoin import canonical_key, cycle_value, load_cache, save_cache
-from .exact_arith import _INTEGER, bernoulli, format_rational
+from .exact_arith import bernoulli, format_rational
 from .hodge import hodge_integral, hodge_table, integral_keys
-from .trees import count_trees, tree_sum, weighted_encodings
-
-# Not called here: bench/tracer.py wraps these names in this module.
-from .trees import canonical_encoding, enumerate_trees, tree_weight  # noqa: F401
 
 __all__ = ["main"]
+
+# Tree functions, bound here on first use (PEP 562): integral, w and table never
+# import the tree pipeline. bench/tracer.py wraps the last three, uncalled here.
+_TREE_NAMES = ("count_trees", "tree_sum", "weighted_encodings")
+_TREE_NAMES += ("canonical_encoding", "enumerate_trees", "tree_weight")
+
+
+def __getattr__(name: str):
+    if name not in _TREE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import trees
+    for tree_name in _TREE_NAMES:  # a name bound already, as by a wrapper, stays
+        globals().setdefault(tree_name, getattr(trees, tree_name))
+    return globals()[name]
+
 
 # trees enumerate holds every tree's encoding and weight, about 0.28 KB each.
 # (0, 8), 1,587,600 trees, peaked at 447 MiB as text and as JSON (Python
 # 3.11.7, written in blocks; the same as one write per row). This admits
 # (0, 8) and refuses (2, 7) with 3,016,440 trees.
 ENUMERATION_LIMIT = 2_000_000
+
+# table keeps every recursion state in its memo, about 0.29 KiB each: --max-g 20,
+# 809,634 states, peaked at 238 MiB in 21 s (Python 3.11.7). The count doubles
+# about every two genera, so this refuses 22: some 1.6 million states, 0.5 GiB.
+TABLE_GENUS_LIMIT = 20
 
 # trees enumerate writes its checked listing this many rows per write call:
 # an unbuffered stdout makes one system call per write.
@@ -64,18 +79,18 @@ CHECKS: dict[str, tuple[str, str | None, str | None]] = {
 }
 
 
-# Canonical integers, where int() alone also takes " 1", "0_1", "01" and "-0";
-# a value above 0 may keep the "+" sign that the CLI has always taken.
-_INTEGER_TEXT = re.compile(rf"(?:\+(?=[1-9]))?{_INTEGER}").fullmatch
-
-
 def _integer(text: str, low: int | None = None, error: str = "") -> int:
-    """The integer ``text`` spells, if at least ``low``; else ``error`` or int's."""
+    """The integer ``text`` canonically spells, if >= ``low``; else ``error`` or int's.
+
+    int() alone also takes " 1", "0_1", "01" and "-0"; a value above 0 may keep
+    the "+" sign that the CLI has always taken.
+    """
     try:
-        value = int(text) if _INTEGER_TEXT(text) else None
-    except ValueError:  # past int()'s digit limit
+        value = int(text)
+    except ValueError:  # not an integer, or past int()'s digit limit
         value = None
-    if value is None or low is not None and value < low:
+    bare = text[1:] if value is not None and value > 0 and text[:1] == "+" else text
+    if value is None or bare != str(value) or low is not None and value < low:
         raise argparse.ArgumentTypeError(error or f"invalid int value: {text!r}")
     return value
 
@@ -188,7 +203,7 @@ def _weight_texts(rows, count: int, total: Fraction) -> dict[tuple[int, int], st
 
 
 def _run_enumerate(args) -> int:
-    count = count_trees(args.g, args.n)
+    count = __getattr__("count_trees")(args.g, args.n)  # binds each tree name
     if count > ENUMERATION_LIMIT:
         raise ValueError(
             f"g={args.g}, n={args.n} has {count} trees,"
@@ -219,6 +234,8 @@ def _run_enumerate(args) -> int:
 
 
 def _run_table(args) -> int:
+    if args.max_g > TABLE_GENUS_LIMIT:
+        raise ValueError(f"--max-g above the table limit of {TABLE_GENUS_LIMIT}")
     columns = ("g", "i", "psi_power", "integral")
     rows = [
         (g, i, 3 * g - 2 - i, format_rational(value))
@@ -254,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enumerate = trees_sub.add_parser("enumerate", help="list trees with weights")
     p_enumerate.set_defaults(handler=_run_enumerate)
     p_sum = trees_sub.add_parser("sum", help="sum of tree weights")
-    p_sum.set_defaults(handler=lambda args: tree_sum(args.g, args.n))
+    p_sum.set_defaults(handler=lambda args: __getattr__("tree_sum")(args.g, args.n))
     p_table = sub.add_parser("table", help="all integrals up to a genus bound")
     p_table.set_defaults(handler=_run_table)
     p_bernoulli = sub.add_parser("bernoulli", help="Bernoulli number B_m")

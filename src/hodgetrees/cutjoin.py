@@ -48,12 +48,15 @@ from __future__ import annotations
 import math
 import os
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import compress, count, repeat
+from operator import itemgetter, ne, not_, or_
 from typing import Collection, Iterable, Iterator, NamedTuple
 
-from .exact_arith import _INTEGER, format_rational, rational_pair
-from .exact_arith import parse_rational  # noqa: F401  bench/tracer.py wraps it here
+from .exact_arith import _INTEGER, _long_int, format_rational, rational_pair
+from .exact_arith import parse_rational  # bench/tracer.py wraps it here
 
 __all__ = [
     "CycleKey",
@@ -292,9 +295,30 @@ def save_cache(cache: dict[CycleKey, Fraction], path: str | os.PathLike) -> None
 
 # Key fields as save_cache writes them, canonical integers: int() would also
 # take "+1", " 1", "0_3", "01" and "-0".
-_KEY_FIELDS = re.compile(
-    rf"{_INTEGER}\t{_INTEGER}\t[1-9][0-9]*(?:,[1-9][0-9]*)*\t"
-).match
+_KEY_FIELDS = rf"{_INTEGER}\t{_INTEGER}\t[1-9][0-9]*(?:,[1-9][0-9]*)*\t"
+
+
+def _refusal(line: bytes) -> str:
+    """Why ``load_cache`` refuses ``line``: the first rule it breaks."""
+    try:
+        text = line.decode("ascii")
+        fields = text.split("\t")
+        if len(fields) != 4:
+            return "expected 4 tab-separated fields"
+        if not re.match(_KEY_FIELDS, text):
+            return "key fields must be canonical decimal integers"
+        genus, lam, *weights = map(int, [*fields[:2], *fields[2].split(",")])
+        rational_pair(fields[3])
+    except ValueError as exc:  # a UnicodeDecodeError, or past int()'s digit limit
+        return str(exc)
+    k = CycleKey(genus, lam, tuple(weights))
+    return (
+        "genus must be nonnegative" if genus < 0
+        else f"lambda {lam} outside 0..{genus}" if not 0 <= lam <= genus
+        else "weights are not sorted" if weights != sorted(weights)
+        else f"undefined integrand exponent {k.exponent} for {k}" if k.exponent < 0
+        else "conflicting duplicate entry"  # the one rule that reads other lines
+    )
 
 
 def load_cache(
@@ -305,42 +329,46 @@ def load_cache(
     Besides malformed lines, entries that no evaluation writes are refused:
     an index outside 0..genus (such values vanish and are never stored), and
     a negative psi exponent (undefined). Evaluation trusts every loaded
-    entry, so neither may reach it. Every line is checked either way; the
+    entry, so neither may reach it. Every line is checked either way, in C
+    passes over the file's columns, and the first refused one is named; the
     memo is the canonical ``keys`` alone if the file has them all.
     """
-    pairs: dict[tuple, tuple[int, int]] = {}
-    checked: dict[str, tuple[int, ...]] = {}  # weights text -> sorted weights
     with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle.read().splitlines(), start=1):
-            if not raw:
-                continue
-            try:
-                line = raw.decode("ascii")
-                fields = line.split("\t")
-                if len(fields) != 4:
-                    raise ValueError("expected 4 tab-separated fields")
-                if not _KEY_FIELDS(line):
-                    raise ValueError("key fields must be canonical decimal integers")
-                genus, lam, text = int(fields[0]), int(fields[1]), fields[2]
-                weights = checked.get(text) or tuple(map(int, text.split(",")))
-                value = rational_pair(fields[3])
-                if genus < 0:
-                    raise ValueError("genus must be nonnegative")
-                if not 0 <= lam <= genus:
-                    raise ValueError(f"lambda {lam} outside 0..{genus}")
-                if text not in checked:  # each distinct weight list, once
-                    if list(weights) != sorted(weights):
-                        raise ValueError("weights are not sorted")
-                    checked[text] = weights
-                exponent = 2 * genus + len(weights) - 2 - lam
-                if exponent < 0:
-                    key = CycleKey(genus, lam, weights)
-                    message = f"undefined integrand exponent {exponent} for {key}"
-                    raise ValueError(message)
-                if pairs.setdefault((genus, lam, weights), value) != value:
-                    raise ValueError("conflicting duplicate entry")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if keys is None or not all(key in pairs for key in keys):
-        keys = pairs
-    return {CycleKey(*key): Fraction(*pairs[key]) for key in keys}
+        entries = list(filter(None, lines := handle.read().splitlines()))
+    digits = getattr(sys, "get_int_max_str_digits", int)()  # for key integers; 0: none
+    key = _KEY_FIELDS.replace("]*", "]{0,%d}" % (digits - 1)) if digits else _KEY_FIELDS
+    pattern = re.compile(f"{key}{_INTEGER}(?:/(?:[2-9]|[1-9][0-9]+))?".encode())
+    malformed = map(not_, map(pattern.fullmatch, entries))
+    limit = next(compress(count(), malformed), len(entries))  # before it: 4 fields
+    fields = b"\t".join(entries[:limit]).split(b"\t") if limit else []
+    genus_texts, lam_texts, weight_texts, values = (fields[i::4] for i in range(4))
+    del fields
+    long = digits and max(map(len, values), default=0) > digits  # int() would refuse
+    parse = (lambda text: _long_int(text.decode())) if long else int
+    slash = repeat(b"/")
+    numerators = [*map(parse, map(itemgetter(0), map(bytes.partition, values, slash)))]
+    denominators = [parse(d or b"1") for _, _, d in map(bytes.partition, values, slash)]
+    number = {text: int(text) for text in {*genus_texts, *lam_texts}}
+    genus, lam = ([*map(number.__getitem__, t)] for t in (genus_texts, lam_texts))
+    weights = {text: tuple(map(int, text.split(b","))) for text in set(weight_texts)}
+    unsorted = {text for text, ws in weights.items() if list(ws) != sorted(ws)}
+    coprime = map(math.gcd, numerators, denominators)
+    broken = (  # lowest terms, lambda in 0..genus, sorted weights, exponent >= 0
+        c != 1 or not 0 <= l <= g or w in unsorted or 2 * g + len(weights[w]) - 2 < l
+        for c, g, l, w in zip(coprime, genus, lam, weight_texts)
+    )
+    first: dict[bytes, bytes] = {}  # key text -> first value text, canonical both
+    keytexts = map(bytes.removesuffix, entries, values)
+    conflicts = map(ne, map(first.setdefault, keytexts, values), values)
+    limit = next(compress(count(), map(or_, broken, conflicts)), limit)
+    if limit < len(entries):
+        lineno = [n for n, line in enumerate(lines, start=1) if line][limit]
+        raise ValueError(f"{path}:{lineno}: {_refusal(entries[limit])}")
+    if keys is not None:
+        wanted = [f"{g}\t{l}\t{','.join(map(str, w))}\t".encode() for g, l, w in keys]
+        found = [first.get(text, b"").decode() for text in wanted]
+        if "" not in found:
+            return {CycleKey(*k): parse_rational(v) for k, v in zip(keys, found)}
+    del lines, entries, values, first, keytexts, conflicts  # the file's text, freed
+    memo_keys = map(CycleKey, genus, lam, map(weights.__getitem__, weight_texts))
+    return dict(zip(memo_keys, map(Fraction, numerators, denominators)))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,9 @@ from hodgetrees.trees import (
     tree_weight,
     weighted_encodings,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -266,6 +271,20 @@ class TestTable:
         assert "2\t1\t3\t1/480" in lines
         assert "2\t2\t2\t7/5760" in lines
         assert len(lines) == 6
+
+    def test_genus_limit_refused_before_any_value(self, capsys, monkeypatch):
+        import hodgetrees.cli as cli
+
+        asked = []
+        monkeypatch.setattr(cli, "hodge_table", lambda max_g: asked.append(max_g) or [])
+        limit = cli.TABLE_GENUS_LIMIT
+        assert limit >= 16
+        header = "g\ti\tpsi_power\tintegral\n"
+        assert run(capsys, "table", "--max-g", str(limit)) == (0, header, "")
+        code, out, err = run(capsys, "table", "--max-g", str(limit + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: --max-g above the table limit of {limit}\n"
+        assert asked == [limit]
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "table", "--max-g", "2", "--format", "json")
@@ -756,6 +775,92 @@ class TestImportsStayLazy:
         code = f"from hodgetrees.cli import main; main({argv!r})"
         watched = "hodgetrees.verify", "hodgetrees.oracle", "json"
         assert self.new_modules(code, watched) == "[]\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["integral", "--g", "2", "--lambda", "1"],
+            ["w", "--g", "2", "--lambda", "1", "--weights", "1,1,1"],
+            ["table", "--max-g", "3"],
+        ],
+    )
+    def test_value_commands_skip_the_tree_pipeline(self, argv, tmp_path):
+        runs = [argv]
+        if argv[0] != "table":  # a miss writes the memo, then a hit reads it
+            runs += [[*argv, "--cache", str(tmp_path / "memo.tsv")]] * 2
+        for args in runs:
+            code = f"from hodgetrees.cli import main; main({args!r})"
+            assert self.new_modules(code, ["hodgetrees.trees"]) == "[]\n", args
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("trees enumerate --g 3 --n 4 --format json", None),
+            ("trees enumerate --g 2 --n 3 --format json", None),
+            ("trees sum --g 2 --n 3", hashlib.sha256(b"1/180\n").hexdigest()),
+        ],
+    )
+    def test_tree_commands_print_their_golden_bytes(self, argv, digest):
+        golden = json.loads((ROOT / "bench" / "golden.json").read_text())
+        result = subprocess.run(
+            [sys.executable, "-m", "hodgetrees", *argv.split()],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            check=True,
+        )
+        assert hashlib.sha256(result.stdout).hexdigest() == (digest or golden[argv])
+
+    def test_every_name_the_tracer_wraps_here_resolves_before_a_command(self):
+        names = [
+            "canonical_encoding",
+            "cycle_value",
+            "enumerate_trees",
+            "format_rational",
+            "hodge_integral",
+            "load_cache",
+            "save_cache",
+            "tree_sum",
+            "tree_weight",
+        ]
+        probe = "\n".join(
+            [
+                "import sys",
+                "import hodgetrees.cli as cli",
+                f"resolved = [getattr(cli, name) for name in {names!r}]",
+                f"sys.path.insert(0, {str(ROOT / 'bench')!r})",
+                "import tracer",
+                "before = dict(vars(cli))",
+                "tracer.install(tracer.Tracer(), tracer)",
+                "after = vars(cli).items()",
+                "print(sorted(n for n, v in after if before.get(n) is not v))",
+            ]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout == f"{names}\n"
+
+    def test_tree_commands_call_a_tree_sum_bound_before_them(self, capsys, monkeypatch):
+        import hodgetrees.cli as cli
+
+        for name in cli._TREE_NAMES:  # unbound, as before the first tree command
+            monkeypatch.delitem(vars(cli), name, raising=False)
+        calls = []
+
+        def spy(genus, leaves):
+            calls.append((genus, leaves))
+            return tree_sum(genus, leaves)
+
+        monkeypatch.setattr(cli, "tree_sum", spy)
+        assert run(capsys, "trees", "sum", "--g", "2", "--n", "3") == (0, "1/180\n", "")
+        code, out, _ = run(capsys, "trees", "enumerate", "--g", "2", "--n", "3")
+        assert code == 0 and out.startswith("count ")
+        assert calls == [(2, 3), (2, 3)]
+        assert cli.tree_sum is spy
 
     def test_oracle_imports_no_other_pipeline(self):
         watched = "hodgetrees.cutjoin", "hodgetrees.hodge", "hodgetrees.trees"

@@ -20,8 +20,8 @@ from hodgetrees.cutjoin import (
     save_cache,
     step_value,
 )
-from hodgetrees.exact_arith import format_rational
-from hodgetrees.hodge import hodge_integral, hodge_table
+from hodgetrees.exact_arith import _INTEGER, format_rational, rational_pair
+from hodgetrees.hodge import hodge_integral, hodge_table, integral_keys
 
 
 def key(genus, lam, weights):
@@ -627,3 +627,197 @@ class TestCachePersistence:
         path.write_text("1\t1\t1,2\t1/6\n1\t1\t1,2\t1/7\n")
         with pytest.raises(ValueError, match="duplicate"):
             load_cache(path)
+
+
+_REFERENCE_KEY_FIELDS = re.compile(
+    rf"{_INTEGER}\t{_INTEGER}\t[1-9][0-9]*(?:,[1-9][0-9]*)*\t"
+).match
+
+
+def reference_load_cache(path, keys=None):
+    """``load_cache`` as one loop iteration per line, each applying every rule."""
+    pairs = {}
+    checked = {}  # weights text -> sorted weights
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle.read().splitlines(), start=1):
+            if not raw:
+                continue
+            try:
+                line = raw.decode("ascii")
+                fields = line.split("\t")
+                if len(fields) != 4:
+                    raise ValueError("expected 4 tab-separated fields")
+                if not _REFERENCE_KEY_FIELDS(line):
+                    raise ValueError("key fields must be canonical decimal integers")
+                genus, lam, text = int(fields[0]), int(fields[1]), fields[2]
+                weights = checked.get(text) or tuple(map(int, text.split(",")))
+                value = rational_pair(fields[3])
+                if genus < 0:
+                    raise ValueError("genus must be nonnegative")
+                if not 0 <= lam <= genus:
+                    raise ValueError(f"lambda {lam} outside 0..{genus}")
+                if text not in checked:  # each distinct weight list, once
+                    if list(weights) != sorted(weights):
+                        raise ValueError("weights are not sorted")
+                    checked[text] = weights
+                exponent = 2 * genus + len(weights) - 2 - lam
+                if exponent < 0:
+                    key = CycleKey(genus, lam, weights)
+                    message = f"undefined integrand exponent {exponent} for {key}"
+                    raise ValueError(message)
+                if pairs.setdefault((genus, lam, weights), value) != value:
+                    raise ValueError("conflicting duplicate entry")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if keys is None or not all(key in pairs for key in keys):
+        keys = pairs
+    return {CycleKey(*key): Fraction(*pairs[key]) for key in keys}
+
+
+def load_outcome(load, path, keys=None):
+    """The memo with the type of every key and value, or the error text."""
+    try:
+        memo = load(path, keys)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "memo", memo, {(type(k), type(v)) for k, v in memo.items()}
+
+
+# Every line test_rejects_malformed_lines, test_rejects_entries_no_evaluation_writes
+# and the CLI's keyed-load tests refuse, one of each rule.
+REFUSED_LINES = [
+    b"1\t1\t1,2",
+    b"1\t1\t1,2\t1/6\textra",
+    b"x\t1\t1,2\t1/6",
+    b"1\t1\t2,1\t1/6",
+    b"1\t1\t0,2\t1/6",
+    b"1\t1\t1,2\t2/12",
+    b"1\t1\t1,2\t0.5",
+    b"1\t1\t\t1/6",
+    b"+1\t 1\t0_3\t1/3",
+    b"+1\t1\t3\t1/3",
+    b"1\t 1\t3\t1/3",
+    b"1\t1\t0_3\t1/3",
+    b"01\t1\t3\t1/3",
+    b"1\t-0\t3\t1/3",
+    b"1\t1\t03\t1/3",
+    b"1\t1\t1,+2\t1/6",
+    b"1\t1\t1, 2\t1/6",
+    b"1\t1\t1,2 \t1/6",
+    b"1\t2\t3\t1/2",
+    b"2\t-1\t1,1\t0",
+    b"-1\t0\t1\t0",
+    b"0\t0\t5\t7",
+    b"1\t1\t3\t\xc3\xa9",
+    b"1\t1\t3\t1/1",
+    b"1\t1\t3\t-2/1",
+    b"1\t1\t1,1\t7",  # conflicts with the memo's 1/24
+    b"1\t1\t" + b"1" * 5000 + b"\t1/3",  # past int()'s digit limit
+]
+
+
+class TestAgainstReferenceLoad:
+    """``load_cache`` gives what the per-line loop gives, on every file."""
+
+    @pytest.fixture(scope="class")
+    def lines(self, tmp_path_factory):
+        """The lines of the memo file that ``hodge_table(3)`` fills."""
+        memo = {}
+        hodge_table(3, memo)
+        path = tmp_path_factory.mktemp("memo") / "memo.tsv"
+        save_cache(memo, path)
+        return path.read_bytes().splitlines()
+
+    @staticmethod
+    def assert_same(path, hits):
+        for keys in None, hits, [*hits, key(3, 1, (1, 9))]:
+            got = load_outcome(load_cache, path, keys)
+            expected = load_outcome(reference_load_cache, path, keys)
+            assert got == expected, (keys, got[:2])
+
+    @pytest.mark.parametrize("bad", REFUSED_LINES)
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_one_refused_line(self, tmp_path, lines, bad, where):
+        at = {"first": 0, "middle": len(lines) // 2, "last": len(lines)}[where]
+        path = tmp_path / "memo.tsv"
+        path.write_bytes(b"\n".join([*lines[:at], bad, *lines[at:]]) + b"\n")
+        self.assert_same(path, integral_keys(3, 1))
+        assert load_outcome(load_cache, path)[0] == "error"
+
+    @pytest.mark.parametrize("earlier", REFUSED_LINES[::3])
+    @pytest.mark.parametrize("later", REFUSED_LINES[1::4])
+    def test_the_earlier_of_two_refused_lines_is_named(
+        self, tmp_path, lines, earlier, later
+    ):
+        path = tmp_path / "memo.tsv"
+        mixed = [*lines[:5], earlier, *lines[5:9], later, *lines[9:]]
+        path.write_bytes(b"\n".join(mixed))
+        self.assert_same(path, integral_keys(3, 1))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:6: "):
+            load_cache(path)
+
+    @pytest.mark.parametrize(
+        "separator, tail",
+        [
+            (b"\n", b"\n"),
+            (b"\r\n", b"\r\n"),
+            (b"\n\n", b""),
+            (b"\r", b"\n\n\n"),
+            (b"\n\r\n", b""),
+        ],
+    )
+    def test_line_endings_and_blank_lines(self, tmp_path, lines, separator, tail):
+        path = tmp_path / "memo.tsv"
+        for bad in [], [b"1\t2\t3\t1/2"], [b"\t"]:
+            path.write_bytes(b"\n" + separator.join([*lines, *bad]) + tail)
+            self.assert_same(path, integral_keys(3, 1))
+        for text in b"", b"\n", b"\r\n\n":
+            path.write_bytes(text)
+            assert load_cache(path) == {} == load_cache(path, integral_keys(3, 1))
+
+    def test_values_past_the_digit_limit(self, tmp_path, lines):
+        p, q = -(10**19999 + 1), 7**23666
+        path = tmp_path / "memo.tsv"
+        def text(p, q=1):
+            return format_rational(Fraction(p, q)).encode()
+
+        for extra in (
+            [b"1\t1\t1,2\t" + text(p, q)],
+            [b"1\t1\t1,2\t" + text(10 * p, q)],
+            [b"1\t1\t1,2\t" + text(3 * p) + b"/" + text(3 * q)],  # not in lowest terms
+            [b"1\t1\t1,9\t" + text(p)],
+        ):
+            path.write_bytes(b"\n".join([*lines, *extra]))
+            self.assert_same(path, [key(1, 1, (1, 2)), key(1, 1, (1, 9))])
+
+    def test_duplicates(self, tmp_path, lines):
+        path = tmp_path / "memo.tsv"
+        for extra in (
+            [lines[3]],
+            [lines[3], lines[3]],
+            [lines[3] + b"1"],
+            [lines[-1], lines[3]],
+        ):
+            path.write_bytes(b"\n".join([*lines, *extra]))
+            self.assert_same(path, integral_keys(3, 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 39),
+                st.binary(max_size=12)
+                | st.text("0123456789-+/,\t ", max_size=14).map(str.encode),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_mutated_memos(self, tmp_path_factory, lines, edits):
+        mutated = list(lines[:40])
+        for at, junk in edits:  # replace a line, or a tail of it
+            cut = mutated[at].rfind(b"\t") if at % 2 else 0
+            mutated[at] = mutated[at][: max(cut, 0)] + junk
+        path = tmp_path_factory.mktemp("memo") / "memo.tsv"
+        path.write_bytes(b"\n".join(mutated))
+        self.assert_same(path, integral_keys(2, 1))
