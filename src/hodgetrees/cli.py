@@ -17,8 +17,9 @@ again from the file's own values. A single check refuses a ``--max-g`` or
 ``json`` or the tree pipeline import them.
 Exit codes: 0 on success or all checks passing, 1 on a verification
 failure, 2 on a usage error (refused input, such as ``trees enumerate`` past
-``ENUMERATION_LIMIT`` trees or ``table --max-g`` past ``TABLE_GENUS_LIMIT``,
-or a file that cannot be read or written), 3 on an internal error.
+``ENUMERATION_LIMIT`` trees, ``table --max-g`` past ``TABLE_GENUS_LIMIT`` or
+``bernoulli --m`` past ``BERNOULLI_LIMIT``, or a file that cannot be read or
+written), 3 on an internal error.
 """
 
 from __future__ import annotations
@@ -63,6 +64,11 @@ ENUMERATION_LIMIT = 2_000_000
 # 809,634 states, peaked at 238 MiB in 21 s (Python 3.11.7). The count doubles
 # about every two genera, so this refuses 22: some 1.6 million states, 0.5 GiB.
 TABLE_GENUS_LIMIT = 20
+
+# bernoulli's work grows about as m**3: --m 1,000, 2,000, 3,000 and 4,000 took
+# 0.23, 0.97, 2.9 and 7.8 s in a fresh process (Python 3.11.7, 2 vCPU), so
+# --m 100,000 would run for days. This admits 4,000 and refuses 4,001.
+BERNOULLI_LIMIT = 4000
 
 # trees enumerate writes its checked listing this many rows per write call:
 # an unbuffered stdout makes one system call per write.
@@ -233,6 +239,12 @@ def _run_enumerate(args) -> int:
     return 0
 
 
+def _bernoulli(args) -> Fraction:
+    if args.m > BERNOULLI_LIMIT:
+        raise ValueError(f"--m above the Bernoulli limit of {BERNOULLI_LIMIT}")
+    return bernoulli(args.m)
+
+
 def _run_table(args) -> int:
     if args.max_g > TABLE_GENUS_LIMIT:
         raise ValueError(f"--max-g above the table limit of {TABLE_GENUS_LIMIT}")
@@ -275,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="all integrals up to a genus bound")
     p_table.set_defaults(handler=_run_table)
     p_bernoulli = sub.add_parser("bernoulli", help="Bernoulli number B_m")
-    p_bernoulli.set_defaults(handler=lambda args: bernoulli(args.m))
+    p_bernoulli.set_defaults(handler=_bernoulli)
     p_verify = sub.add_parser("verify", help="run exact consistency checks")
     p_verify.set_defaults(handler=_run_verify)
 

@@ -48,11 +48,8 @@ from __future__ import annotations
 import math
 import os
 import re
-import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import compress, count, repeat
-from operator import itemgetter, ne, not_, or_
 from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .exact_arith import _INTEGER, _long_int, format_rational, rational_pair
@@ -293,9 +290,11 @@ def save_cache(cache: dict[CycleKey, Fraction], path: str | os.PathLike) -> None
             os.remove(temporary)
 
 
-# Key fields as save_cache writes them, canonical integers: int() would also
-# take "+1", " 1", "0_3", "01" and "-0".
-_KEY_FIELDS = rf"{_INTEGER}\t{_INTEGER}\t[1-9][0-9]*(?:,[1-9][0-9]*)*\t"
+# One memo line as save_cache writes it, canonical integers in five groups:
+# genus, index, weights, numerator, denominator. int() would also take "+1",
+# " 1", "0_3", "01" and "-0".
+_KEY_FIELDS = rf"({_INTEGER})\t({_INTEGER})\t([1-9][0-9]*(?:,[1-9][0-9]*)*)\t"
+_LINE = re.compile(f"{_KEY_FIELDS}({_INTEGER})(?:/([2-9]|[1-9][0-9]+))?".encode())
 
 
 def _refusal(line: bytes) -> str:
@@ -329,46 +328,43 @@ def load_cache(
     Besides malformed lines, entries that no evaluation writes are refused:
     an index outside 0..genus (such values vanish and are never stored), and
     a negative psi exponent (undefined). Evaluation trusts every loaded
-    entry, so neither may reach it. Every line is checked either way, in C
-    passes over the file's columns, and the first refused one is named; the
-    memo is the canonical ``keys`` alone if the file has them all.
+    entry, so neither may reach it. Every line is checked either way, in one
+    loop that matches each against one pattern and reads its integers, and
+    the first refused one is named; the memo is the canonical ``keys`` alone
+    if the file has them all.
     """
+    pairs: dict[tuple, tuple[int, int]] = {}  # (genus, lam, weights) -> (p, q)
+    checked: dict[bytes, tuple[int, ...]] = {}  # weights text -> sorted weights
     with open(path, "rb") as handle:
-        entries = list(filter(None, lines := handle.read().splitlines()))
-    digits = getattr(sys, "get_int_max_str_digits", int)()  # for key integers; 0: none
-    key = _KEY_FIELDS.replace("]*", "]{0,%d}" % (digits - 1)) if digits else _KEY_FIELDS
-    pattern = re.compile(f"{key}{_INTEGER}(?:/(?:[2-9]|[1-9][0-9]+))?".encode())
-    malformed = map(not_, map(pattern.fullmatch, entries))
-    limit = next(compress(count(), malformed), len(entries))  # before it: 4 fields
-    fields = b"\t".join(entries[:limit]).split(b"\t") if limit else []
-    genus_texts, lam_texts, weight_texts, values = (fields[i::4] for i in range(4))
-    del fields
-    long = digits and max(map(len, values), default=0) > digits  # int() would refuse
-    parse = (lambda text: _long_int(text.decode())) if long else int
-    slash = repeat(b"/")
-    numerators = [*map(parse, map(itemgetter(0), map(bytes.partition, values, slash)))]
-    denominators = [parse(d or b"1") for _, _, d in map(bytes.partition, values, slash)]
-    number = {text: int(text) for text in {*genus_texts, *lam_texts}}
-    genus, lam = ([*map(number.__getitem__, t)] for t in (genus_texts, lam_texts))
-    weights = {text: tuple(map(int, text.split(b","))) for text in set(weight_texts)}
-    unsorted = {text for text, ws in weights.items() if list(ws) != sorted(ws)}
-    coprime = map(math.gcd, numerators, denominators)
-    broken = (  # lowest terms, lambda in 0..genus, sorted weights, exponent >= 0
-        c != 1 or not 0 <= l <= g or w in unsorted or 2 * g + len(weights[w]) - 2 < l
-        for c, g, l, w in zip(coprime, genus, lam, weight_texts)
-    )
-    first: dict[bytes, bytes] = {}  # key text -> first value text, canonical both
-    keytexts = map(bytes.removesuffix, entries, values)
-    conflicts = map(ne, map(first.setdefault, keytexts, values), values)
-    limit = next(compress(count(), map(or_, broken, conflicts)), limit)
-    if limit < len(entries):
-        lineno = [n for n, line in enumerate(lines, start=1) if line][limit]
-        raise ValueError(f"{path}:{lineno}: {_refusal(entries[limit])}")
-    if keys is not None:
-        wanted = [f"{g}\t{l}\t{','.join(map(str, w))}\t".encode() for g, l, w in keys]
-        found = [first.get(text, b"").decode() for text in wanted]
-        if "" not in found:
-            return {CycleKey(*k): parse_rational(v) for k, v in zip(keys, found)}
-    del lines, entries, values, first, keytexts, conflicts  # the file's text, freed
-    memo_keys = map(CycleKey, genus, lam, map(weights.__getitem__, weight_texts))
-    return dict(zip(memo_keys, map(Fraction, numerators, denominators)))
+        lines = enumerate(handle.read().splitlines(), start=1)
+    for lineno, line in lines:
+        if not line:
+            continue
+        fields = _LINE.fullmatch(line)
+        try:
+            if fields is None:
+                raise ValueError
+            genus, lam, text, p, q = fields.groups(b"1")  # an integer: q is 1
+            genus, lam = int(genus), int(lam)  # key integers keep int()'s digit limit
+            weights = checked.get(text)
+            if weights is None:
+                weights = tuple(map(int, text.split(b",")))
+                if list(weights) != sorted(weights):
+                    raise ValueError
+                checked[text] = weights
+            try:
+                value = int(p), int(q)
+            except ValueError:  # values do not
+                value = _long_int(p.decode()), _long_int(q.decode())
+            if (
+                not 0 <= lam <= genus
+                or 2 * genus + len(weights) - 2 < lam
+                or math.gcd(*value) != 1
+                or pairs.setdefault((genus, lam, weights), value) != value
+            ):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {_refusal(line)}") from None
+    if keys is None or not all(key in pairs for key in keys):
+        keys = pairs
+    return {CycleKey(*key): Fraction(*pairs[key]) for key in keys}

@@ -62,6 +62,20 @@ class TestSingleValues:
         code, out, _ = run(capsys, "bernoulli", "--m", "4")
         assert code == 0 and out == "-1/30\n"
 
+    def test_bernoulli_limit_refused_before_any_value(self, capsys, monkeypatch):
+        import hodgetrees.cli as cli
+
+        asked = []
+        monkeypatch.setattr(cli, "bernoulli", lambda m: asked.append(m) or Fraction(m))
+        limit = cli.BERNOULLI_LIMIT
+        assert 1000 <= limit <= 10_000
+        assert run(capsys, "bernoulli", "--m", str(limit)) == (0, f"{limit}\n", "")
+        for m in limit + 1, 100_000:
+            code, out, err = run(capsys, "bernoulli", "--m", str(m))
+            assert (code, out) == (2, "")
+            assert err == f"error: --m above the Bernoulli limit of {limit}\n"
+        assert asked == [limit]
+
     @pytest.mark.parametrize("g", [1200, 1300])
     def test_deep_cycle_value(self, capsys, tmp_path, g):
         # Only the handle child survives at each step, so the chain of

@@ -713,6 +713,8 @@ REFUSED_LINES = [
     b"1\t1\t3\t-2/1",
     b"1\t1\t1,1\t7",  # conflicts with the memo's 1/24
     b"1\t1\t" + b"1" * 5000 + b"\t1/3",  # past int()'s digit limit
+    b"1" * 5000 + b"\t1\t3\t1/3",  # the genus alone past it
+    b"1\t1\t1," + b"1" * 5000 + b"\t1/3",  # the second weight alone past it
 ]
 
 
