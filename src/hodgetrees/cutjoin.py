@@ -52,8 +52,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, NamedTuple
 
-from .exact_arith import _INTEGER, _long_int, format_rational, rational_pair
-from .exact_arith import parse_rational  # bench/tracer.py wraps it here
+from .exact_arith import _INTEGER, _long_int, format_rational, parse_rational
 
 __all__ = [
     "CycleKey",
@@ -297,27 +296,21 @@ _KEY_FIELDS = rf"({_INTEGER})\t({_INTEGER})\t([1-9][0-9]*(?:,[1-9][0-9]*)*)\t"
 _LINE = re.compile(f"{_KEY_FIELDS}({_INTEGER})(?:/([2-9]|[1-9][0-9]+))?".encode())
 
 
-def _refusal(line: bytes) -> str:
-    """Why ``load_cache`` refuses ``line``: the first rule it breaks."""
-    try:
-        text = line.decode("ascii")
-        fields = text.split("\t")
-        if len(fields) != 4:
-            return "expected 4 tab-separated fields"
-        if not re.match(_KEY_FIELDS, text):
-            return "key fields must be canonical decimal integers"
-        genus, lam, *weights = map(int, [*fields[:2], *fields[2].split(",")])
-        rational_pair(fields[3])
-    except ValueError as exc:  # a UnicodeDecodeError, or past int()'s digit limit
-        return str(exc)
-    k = CycleKey(genus, lam, tuple(weights))
-    return (
-        "genus must be nonnegative" if genus < 0
-        else f"lambda {lam} outside 0..{genus}" if not 0 <= lam <= genus
-        else "weights are not sorted" if weights != sorted(weights)
-        else f"undefined integrand exponent {k.exponent} for {k}" if k.exponent < 0
-        else "conflicting duplicate entry"  # the one rule that reads other lines
-    )
+def _refuse_text(line: bytes) -> None:
+    """Raise the first text rule broken by ``line``, which misses ``_LINE``.
+
+    In order: ASCII, four fields, canonical key fields, key integers within
+    int()'s digit limit, a canonical value. Every such line breaks one.
+    """
+    text = line.decode("ascii")
+    fields = text.split("\t")
+    if len(fields) != 4:
+        raise ValueError("expected 4 tab-separated fields")
+    if not re.match(_KEY_FIELDS, text):
+        raise ValueError("key fields must be canonical decimal integers")
+    for integer in [*fields[:2], *fields[2].split(",")]:
+        int(integer)
+    parse_rational(fields[3])
 
 
 def load_cache(
@@ -325,13 +318,12 @@ def load_cache(
 ) -> dict[CycleKey, Fraction]:
     """Parse a cache file, rejecting any line that fails strict validation.
 
-    Besides malformed lines, entries that no evaluation writes are refused:
-    an index outside 0..genus (such values vanish and are never stored), and
-    a negative psi exponent (undefined). Evaluation trusts every loaded
-    entry, so neither may reach it. Every line is checked either way, in one
-    loop that matches each against one pattern and reads its integers, and
-    the first refused one is named; the memo is the canonical ``keys`` alone
-    if the file has them all.
+    One loop checks every line, a hit's too, and names the first refused one
+    with the first rule it breaks: a text rule if it misses ``_LINE``, else in
+    order lowest terms, genus >= 0, index in 0..genus, sorted weights, psi
+    exponent >= 0 and no conflicting duplicate. Evaluation trusts what loads,
+    so entries it never writes (vanishing or undefined ones) are refused. The
+    memo is the canonical ``keys`` alone if the file has them all.
     """
     pairs: dict[tuple, tuple[int, int]] = {}  # (genus, lam, weights) -> (p, q)
     checked: dict[bytes, tuple[int, ...]] = {}  # weights text -> sorted weights
@@ -343,28 +335,35 @@ def load_cache(
         fields = _LINE.fullmatch(line)
         try:
             if fields is None:
-                raise ValueError
+                _refuse_text(line)
             genus, lam, text, p, q = fields.groups(b"1")  # an integer: q is 1
             genus, lam = int(genus), int(lam)  # key integers keep int()'s digit limit
             weights = checked.get(text)
-            if weights is None:
+            unchecked = weights is None  # sorted below, once per weights text
+            if unchecked:
                 weights = tuple(map(int, text.split(b",")))
-                if list(weights) != sorted(weights):
-                    raise ValueError
-                checked[text] = weights
             try:
                 value = int(p), int(q)
             except ValueError:  # values do not
                 value = _long_int(p.decode()), _long_int(q.decode())
-            if (
-                not 0 <= lam <= genus
-                or 2 * genus + len(weights) - 2 < lam
-                or math.gcd(*value) != 1
-                or pairs.setdefault((genus, lam, weights), value) != value
-            ):
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: {_refusal(line)}") from None
+            if math.gcd(*value) != 1:
+                value_text = (p + b"/" + q).decode()
+                raise ValueError(f"rational not in lowest terms: {value_text!r}")
+            if genus < 0:
+                raise ValueError("genus must be nonnegative")
+            if not 0 <= lam <= genus:
+                raise ValueError(f"lambda {lam} outside 0..{genus}")
+            if unchecked:
+                if list(weights) != sorted(weights):
+                    raise ValueError("weights are not sorted")
+                checked[text] = weights
+            if 2 * genus + len(weights) - 2 < lam:
+                k = CycleKey(genus, lam, weights)
+                raise ValueError(f"undefined integrand exponent {k.exponent} for {k}")
+            if pairs.setdefault((genus, lam, weights), value) != value:
+                raise ValueError("conflicting duplicate entry")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if keys is None or not all(key in pairs for key in keys):
         keys = pairs
     return {CycleKey(*key): Fraction(*pairs[key]) for key in keys}

@@ -32,8 +32,9 @@ __all__ = [
 
 _ZERO = Fraction(0)
 
-# A canonical integer, as the memo and the CLI read it: no space, "_", "+",
-# leading 0 or "-0". A rational adds a denominator above 1: not "2/4", "1/0".
+# A canonical integer, as memo lines and rationals spell it: no space, "_", "+",
+# leading 0 or "-0" (cli._integer compares with str(int(text)) and takes a "+"
+# before a positive value). A rational adds a denominator above 1: not "2/4", "1/0".
 _INTEGER = r"(?:0|-?[1-9][0-9]*)"
 _RATIONAL_RE = re.compile(_INTEGER + r"(?:/[1-9][0-9]*)?")
 

@@ -715,6 +715,13 @@ REFUSED_LINES = [
     b"1\t1\t" + b"1" * 5000 + b"\t1/3",  # past int()'s digit limit
     b"1" * 5000 + b"\t1\t3\t1/3",  # the genus alone past it
     b"1\t1\t1," + b"1" * 5000 + b"\t1/3",  # the second weight alone past it
+    # Each of these breaks two rules, so the order of the checks shows.
+    b"-1\t0\t1\t2/4",  # lowest terms before genus
+    b"-1\t0\t2,1\t1/2",  # genus before sorted weights
+    b"1\t2\t2,1\t1/2",  # lambda before sorted weights
+    b"1\t1\t2,1\t2/4",  # lowest terms before sorted weights
+    b"x\t1\t1,2\t2/4",  # the text rules before the value rules
+    b"1" * 5000 + b"\t1\t3\t0.5",  # the key's digit limit before a malformed value
 ]
 
 
