@@ -8,9 +8,11 @@ verification checks. Each subcommand's parser names its handler, and
 reduced fraction, or with ``--decimal D`` as a correctly rounded D-digit
 approximation marked with a leading ``~``. The other handlers write their
 own output and return the exit code. ``integral`` and ``w`` take
-``--cache FILE``, a saved memo, every line of it checked; a hit (FILE
-holds every key the query reads) builds only those entries, and FILE is
-written only when it did not exist or the command added entries.
+``--cache FILE``, a saved memo. A hit (FILE holds every key the query
+reads) builds only those entries, and on a file whose header matches its
+body it reads and checks only their lines; any other load checks every
+line. FILE is written only when it did not exist or the command added
+entries.
 ``verify --check memo --cache FILE`` derives every entry of such a file
 again from the file's own values. A single check refuses a ``--max-g`` or
 ``--max-n`` it does not take. Only the handlers that use ``verify``,

@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import zlib
 from collections import Counter
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, NamedTuple
@@ -270,19 +271,69 @@ def step_value(key: CycleKey, cache: dict[CycleKey, Fraction]) -> Fraction:
     return value
 
 
-def save_cache(cache: dict[CycleKey, Fraction], path: str | os.PathLike) -> None:
-    """Write the memo as sorted tab-separated lines: genus, index, weights, value.
+def _check_key(genus: int, lam: int, weights: tuple, unsorted: bool) -> None:
+    """Raise the first rule of ``load_cache`` that a key breaks, if any.
 
-    The lines go to a temporary file next to ``path`` that then replaces it
-    in one step, so a save that fails part way leaves any old file whole.
+    In order: genus >= 0, index in 0..genus, sorted weights (checked only if
+    ``unsorted``), psi exponent >= 0.
     """
+    if genus < 0:
+        raise ValueError("genus must be nonnegative")
+    if not 0 <= lam <= genus:
+        raise ValueError(f"lambda {lam} outside 0..{genus}")
+    if unsorted and list(weights) != sorted(weights):
+        raise ValueError("weights are not sorted")
+    if 2 * genus + len(weights) - 2 < lam:
+        k = CycleKey(genus, lam, weights)
+        raise ValueError(f"undefined integrand exponent {k.exponent} for {k}")
+
+
+# The first line of a nonempty memo file: format version, entries (body
+# lines), body bytes and the body's crc32. A crc32 catches a truncated or
+# edited body; it is no guard against an edit that also rewrites the header.
+_HEADER = re.compile(
+    rb"#hodgetrees-memo/1 entries=[0-9]+ bytes=[0-9]+ crc32=[0-9a-f]{8}"
+)
+
+
+def _header(body: bytes) -> bytes:
+    """The header line, newline included, that ``save_cache`` writes over ``body``."""
+    counts = body.count(b"\n"), len(body), zlib.crc32(body)
+    return b"#hodgetrees-memo/1 entries=%d bytes=%d crc32=%08x\n" % counts
+
+
+def save_cache(cache: dict[CycleKey, Fraction], path: str | os.PathLike) -> None:
+    """Write the memo as a header line over sorted tab-separated lines: genus,
+    index, weights, value.
+
+    An entry ``load_cache`` would refuse (negative genus, index outside
+    0..genus, weights empty, unsorted or not positive, negative psi exponent)
+    raises ``ValueError`` naming its key, and nothing is written. An empty
+    memo is an empty file. The file goes to a temporary file next to ``path``
+    that then replaces it in one step, so a save that fails part way leaves
+    any old file whole.
+    """
+    texts: dict[tuple[int, ...], str] = {}  # weights -> text, each checked once
+    lines = []
+    for key in sorted(cache):
+        genus, lam, weights = key
+        text = texts.get(weights)
+        try:
+            if text is None and not (weights and weights[0] > 0):
+                raise ValueError("weights must be nonempty and positive")
+            _check_key(genus, lam, weights, text is None)
+        except ValueError as exc:
+            raise ValueError(f"memo entry {key} would not load: {exc}") from None
+        if text is None:
+            text = texts[weights] = ",".join(map(str, weights))
+        lines.append(f"{genus}\t{lam}\t{text}\t{format_rational(cache[key])}\n")
+    body = "".join(lines).encode("ascii")
     temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(temporary, "w", encoding="ascii") as handle:
-            for key in sorted(cache):
-                weights_text = ",".join(str(w) for w in key.weights)
-                value_text = format_rational(cache[key])
-                handle.write(f"{key.genus}\t{key.lam}\t{weights_text}\t{value_text}\n")
+        with open(temporary, "wb") as handle:
+            if body:
+                handle.write(_header(body))
+                handle.write(body)
         os.replace(temporary, path)
     finally:
         if os.path.exists(temporary):
@@ -313,54 +364,94 @@ def _refuse_text(line: bytes) -> None:
     parse_rational(fields[3])
 
 
+def _entry(line: bytes, checked: dict[bytes, tuple]) -> tuple[tuple, tuple]:
+    """A memo line's key (genus, index, weights) and value (p, q) as integers.
+
+    Raises the first rule the line breaks: a text rule if it misses
+    ``_LINE``, else lowest terms, then ``_check_key``'s. ``checked`` maps each
+    weights text whose order was checked to its weights.
+    """
+    fields = _LINE.fullmatch(line)
+    if fields is None:
+        _refuse_text(line)
+    genus, lam, text, p, q = fields.groups(b"1")  # an integer: q is 1
+    genus, lam = int(genus), int(lam)  # key integers keep int()'s digit limit
+    weights = checked.get(text)
+    unsorted = weights is None  # sorted below, once per weights text
+    if unsorted:
+        weights = tuple(map(int, text.split(b",")))
+    try:
+        value = int(p), int(q)
+    except ValueError:  # values do not
+        value = _long_int(p.decode()), _long_int(q.decode())
+    if math.gcd(*value) != 1:
+        value_text = (p + b"/" + q).decode()
+        raise ValueError(f"rational not in lowest terms: {value_text!r}")
+    _check_key(genus, lam, weights, unsorted)
+    checked[text] = weights
+    return (genus, lam, weights), value
+
+
+def _hit(data: bytes, keys: Collection[CycleKey]) -> dict | None:
+    """The entries of ``keys`` from a memo file whose header matches its body.
+
+    Each key's line is found by its canonical text and checked by ``_entry``.
+    None if the header is missing or does not match, or a key's text is
+    absent, occurs twice or heads a line that breaks a rule.
+    """
+    start = data.find(b"\n")  # the newline that ends the header
+    if start < 0 or data[: start + 1] != _header(data[start + 1 :]):
+        return None
+    checked: dict[bytes, tuple[int, ...]] = {}
+    memo = {}
+    for genus, lam, weights in keys:
+        try:
+            text = f"\n{genus}\t{lam}\t{','.join(map(str, weights))}\t".encode()
+            at = data.find(text, start)
+            end = data.find(b"\n", at + 1)
+            if at < 0 or end < 0 or data.find(text, end) >= 0:
+                return None
+            key, value = _entry(data[at + 1 : end], checked)
+        except ValueError:  # a broken rule, or a key past str()'s digit limit
+            return None
+        memo[CycleKey(*key)] = Fraction(*value)
+    return memo
+
+
 def load_cache(
     path: str | os.PathLike, keys: Collection[CycleKey] | None = None
 ) -> dict[CycleKey, Fraction]:
     """Parse a cache file, rejecting any line that fails strict validation.
 
-    One loop checks every line, a hit's too, and names the first refused one
-    with the first rule it breaks: a text rule if it misses ``_LINE``, else in
-    order lowest terms, genus >= 0, index in 0..genus, sorted weights, psi
-    exponent >= 0 and no conflicting duplicate. Evaluation trusts what loads,
-    so entries it never writes (vanishing or undefined ones) are refused. The
-    memo is the canonical ``keys`` alone if the file has them all.
+    With ``keys``, a file whose header matches its body (``save_cache`` wrote
+    it, and nothing truncated or edited it since) gives the entries of
+    ``keys`` from their own lines alone, each checked by the line rules, if
+    each occurs once. Any other file goes through one loop that checks every
+    line and names the first refused one with the first rule it breaks: a
+    text rule if it misses ``_LINE``, else in order lowest terms, genus >= 0,
+    index in 0..genus, sorted weights, psi exponent >= 0 and no conflicting
+    duplicate. A header on line 1 is skipped, and line numbers count it.
+    Evaluation trusts what loads, so entries it never writes (vanishing or
+    undefined ones) are refused. The memo is the canonical ``keys`` alone if
+    the file has them all.
     """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if keys is not None:
+        memo = _hit(data, keys)
+        if memo is not None:
+            return memo
     pairs: dict[tuple, tuple[int, int]] = {}  # (genus, lam, weights) -> (p, q)
     checked: dict[bytes, tuple[int, ...]] = {}  # weights text -> sorted weights
-    with open(path, "rb") as handle:
-        lines = enumerate(handle.read().splitlines(), start=1)
-    for lineno, line in lines:
+    lines = data.splitlines()
+    if lines and _HEADER.fullmatch(lines[0]):
+        lines[0] = b""  # skipped as blank, so line numbers still count it
+    for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
-        fields = _LINE.fullmatch(line)
         try:
-            if fields is None:
-                _refuse_text(line)
-            genus, lam, text, p, q = fields.groups(b"1")  # an integer: q is 1
-            genus, lam = int(genus), int(lam)  # key integers keep int()'s digit limit
-            weights = checked.get(text)
-            unchecked = weights is None  # sorted below, once per weights text
-            if unchecked:
-                weights = tuple(map(int, text.split(b",")))
-            try:
-                value = int(p), int(q)
-            except ValueError:  # values do not
-                value = _long_int(p.decode()), _long_int(q.decode())
-            if math.gcd(*value) != 1:
-                value_text = (p + b"/" + q).decode()
-                raise ValueError(f"rational not in lowest terms: {value_text!r}")
-            if genus < 0:
-                raise ValueError("genus must be nonnegative")
-            if not 0 <= lam <= genus:
-                raise ValueError(f"lambda {lam} outside 0..{genus}")
-            if unchecked:
-                if list(weights) != sorted(weights):
-                    raise ValueError("weights are not sorted")
-                checked[text] = weights
-            if 2 * genus + len(weights) - 2 < lam:
-                k = CycleKey(genus, lam, weights)
-                raise ValueError(f"undefined integrand exponent {k.exponent} for {k}")
-            if pairs.setdefault((genus, lam, weights), value) != value:
+            key, value = _entry(line, checked)
+            if pairs.setdefault(key, value) != value:
                 raise ValueError("conflicting duplicate entry")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -399,10 +400,13 @@ class TestMemoPinAndReach:
         hodge_table(12, cache)
         path = tmp_path / "memo.tsv"
         save_cache(cache, path)
-        data = path.read_bytes()
-        assert data.count(b"\n") == 33_839
-        assert len(data) == 1_603_536
-        assert hashlib.sha256(data).hexdigest() == (
+        header, body = path.read_bytes().split(b"\n", 1)
+        assert header == (
+            b"#hodgetrees-memo/1 entries=33839 bytes=1603536 crc32=d410c8fa"
+        )
+        assert body.count(b"\n") == 33_839
+        assert len(body) == 1_603_536
+        assert hashlib.sha256(body).hexdigest() == (
             "007271ec6c4224bd5a619063f2f37e4da8796fa1e8faa156d92b69dce3613718"
         )
 
@@ -504,7 +508,9 @@ class TestCachePersistence:
         path = tmp_path / "memo.tsv"
         save_cache({key(1, 1, (2, 1)): Fraction(p, q)}, path)
         assert load_cache(path) == {key(1, 1, (2, 1)): Fraction(p, q)}
-        assert len(path.read_text()) == len("1\t1\t1,2\t-/\n") + 40_001
+        header, body = path.read_text().split("\n", 1)
+        assert len(body) == len("1\t1\t1,2\t-/\n") + 40_001
+        assert header == "#hodgetrees-memo/1 entries=1 bytes=40012 crc32=3d15e217"
         tripled = f"{format_rational(3 * p)}/{format_rational(3 * q)}"
         path.write_text(f"1\t1\t1,2\t{tripled}\n")
         with pytest.raises(ValueError, match="not in lowest terms"):
@@ -514,7 +520,39 @@ class TestCachePersistence:
         cache = {key(1, 1, (2, 1)): Fraction(1, 6)}
         path = tmp_path / "cache.tsv"
         save_cache(cache, path)
-        assert path.read_text() == "1\t1\t1,2\t1/6\n"
+        assert path.read_text() == (
+            "#hodgetrees-memo/1 entries=1 bytes=12 crc32=b311ff72\n1\t1\t1,2\t1/6\n"
+        )
+        save_cache({}, path)
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize(
+        "entry, reason",
+        [
+            (CycleKey(-1, 0, (1,)), "genus must be nonnegative"),
+            (CycleKey(1, 2, (3,)), "lambda 2 outside 0..1"),
+            (CycleKey(2, -1, (1, 1)), "lambda -1 outside 0..2"),
+            (CycleKey(1, 1, (2, 1)), "weights are not sorted"),
+            (CycleKey(1, 1, (0, 2)), "weights must be nonempty and positive"),
+            (CycleKey(1, 1, ()), "weights must be nonempty and positive"),
+            (CycleKey(0, 0, (5,)), "undefined integrand exponent -1"),
+        ],
+    )
+    def test_save_refuses_entries_the_load_refuses(self, tmp_path, entry, reason):
+        path = tmp_path / "memo.tsv"
+        good = {key(1, 1, (3,)): Fraction(1, 3)}
+        save_cache(good, path)
+        before = path.read_bytes()
+        message = f"memo entry {entry} would not load: {reason}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            save_cache({**good, entry: Fraction(1, 2)}, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["memo.tsv"]
+        genus, lam, weights = entry
+        line = f"{genus}\t{lam}\t{','.join(map(str, weights))}\t1/2\n"
+        path.write_text(line)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:1: ')}"):
+            load_cache(path)
 
     @pytest.mark.parametrize(
         "line",
@@ -632,15 +670,21 @@ class TestCachePersistence:
 _REFERENCE_KEY_FIELDS = re.compile(
     rf"{_INTEGER}\t{_INTEGER}\t[1-9][0-9]*(?:,[1-9][0-9]*)*\t"
 ).match
+_REFERENCE_HEADER = re.compile(
+    rb"#hodgetrees-memo/1 entries=[0-9]+ bytes=[0-9]+ crc32=[0-9a-f]{8}"
+).fullmatch
 
 
 def reference_load_cache(path, keys=None):
-    """``load_cache`` as one loop iteration per line, each applying every rule."""
+    """``load_cache`` as one loop iteration per line, each applying every rule.
+
+    A header on line 1 is skipped unread: this loop checks every line.
+    """
     pairs = {}
     checked = {}  # weights text -> sorted weights
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle.read().splitlines(), start=1):
-            if not raw:
+            if not raw or lineno == 1 and _REFERENCE_HEADER(raw):
                 continue
             try:
                 line = raw.decode("ascii")
@@ -672,6 +716,12 @@ def reference_load_cache(path, keys=None):
     if keys is None or not all(key in pairs for key in keys):
         keys = pairs
     return {CycleKey(*key): Fraction(*pairs[key]) for key in keys}
+
+
+def with_header(body):
+    """A memo file's bytes: ``body`` under the header that matches it."""
+    fields = body.count(b"\n"), len(body), zlib.crc32(body)
+    return b"#hodgetrees-memo/1 entries=%d bytes=%d crc32=%08x\n" % fields + body
 
 
 def load_outcome(load, path, keys=None):
@@ -730,12 +780,15 @@ class TestAgainstReferenceLoad:
 
     @pytest.fixture(scope="class")
     def lines(self, tmp_path_factory):
-        """The lines of the memo file that ``hodge_table(3)`` fills."""
+        """The body lines of the memo file that ``hodge_table(3)`` fills.
+
+        Without its header line: files built from them take the strict loop.
+        """
         memo = {}
         hodge_table(3, memo)
         path = tmp_path_factory.mktemp("memo") / "memo.tsv"
         save_cache(memo, path)
-        return path.read_bytes().splitlines()
+        return path.read_bytes().splitlines()[1:]
 
     @staticmethod
     def assert_same(path, hits):
@@ -830,3 +883,80 @@ class TestAgainstReferenceLoad:
         path = tmp_path_factory.mktemp("memo") / "memo.tsv"
         path.write_bytes(b"\n".join(mutated))
         self.assert_same(path, integral_keys(2, 1))
+
+    @pytest.mark.parametrize(
+        "bad, twice",
+        [
+            (b"3\t1\t1,1\t2/71680", False),  # a hit's own line, not in lowest terms
+            (b"3\t1\t1,1\t1/1", False),
+            (b"3\t1\t1,1\t1/x", False),
+            (b"3\t1\t1,1\t\xc3\xa9", False),
+            (b"3\t1\t1,1\t1/35840\textra", False),
+            (b"1\t2\t3\t1/2", False),  # the lines of keys no evaluation writes
+            (b"-1\t0\t1\t0", False),
+            (b"1\t1\t2,1\t1/6", False),
+            (b"0\t0\t5\t7", False),
+            (b"3\t1\t1,1\t7", True),  # a hit's key on a second line, conflicting
+            (b"3\t1\t1,1\t1/35840", True),  # and the same
+        ],
+    )
+    def test_a_hit_checks_its_lines_under_a_rewritten_header(
+        self, tmp_path, lines, bad, twice
+    ):
+        # A header rewritten to match an edited body passes its crc32, so the
+        # lines a hit reads still go through every rule of the strict loop.
+        genus, lam, weights = bad.split(b"\t")[:3]
+        entry = CycleKey(int(genus), int(lam), tuple(map(int, weights.split(b","))))
+        prefix = b"\t".join([genus, lam, weights, b""])
+        kept = [line for line in lines if twice or not line.startswith(prefix)]
+        path = tmp_path / "memo.tsv"
+        path.write_bytes(with_header(b"".join(line + b"\n" for line in [*kept, bad])))
+        hits = [entry, *integral_keys(3, 1)]
+        self.assert_same(path, hits)
+        assert cutjoin._hit(path.read_bytes(), hits) is None
+        if bad != b"3\t1\t1,1\t1/35840":
+            assert load_outcome(load_cache, path, hits)[0] == "error"
+
+    def test_every_key_set_of_the_g6_memo_is_a_verified_hit(self, tmp_path):
+        memo = {}
+        hodge_table(6, memo)
+        path = tmp_path / "memo.tsv"
+        save_cache(memo, path)
+        data = path.read_bytes()
+        assert data == with_header(data.split(b"\n", 1)[1])
+        key_sets = [integral_keys(g, i) for g in range(1, 7) for i in range(g + 1)]
+        key_sets += [[k] for k in sorted(memo)]  # each w query
+        for keys in key_sets:
+            got = load_outcome(load_cache, path, keys)
+            assert got == load_outcome(reference_load_cache, path, keys), keys
+            assert got[1] == {k: memo[k] for k in keys}
+            assert cutjoin._hit(data, keys) == got[1]  # read off its own lines
+
+    def test_seeded_mutations_of_a_headered_g4_memo(self, tmp_path):
+        memo = {}
+        hodge_table(4, memo)
+        path = tmp_path / "memo.tsv"
+        save_cache(memo, path)
+        data = path.read_bytes()
+        body_lines = data.splitlines()[1:]
+        rng = random.Random(24)
+        mutants = []
+        for _ in range(240):  # one byte replaced, inserted or deleted
+            at = rng.randrange(len(data))
+            byte = rng.choice([*b"0123456789/,-\t\n\rx#=", rng.randrange(256)])
+            tail = data[at + 1 :] if rng.random() < 0.6 else data[at:]
+            byte = bytes([byte]) if rng.random() < 0.8 else b""
+            mutants.append(data[:at] + byte + tail)
+        mutants += [data[: rng.randrange(len(data))] for _ in range(40)]
+        for _ in range(40):  # one line appended, refused or a copy of one
+            extra = rng.choice([*REFUSED_LINES, *rng.sample(body_lines, 4)])
+            mutants.append(data + extra + b"\n")
+        hits = integral_keys(4, 2), [key(3, 1, (1, 1, 1))], [key(4, 4, (1,) * 5)]
+        outcomes = set()
+        for mutant in mutants:
+            path.write_bytes(mutant)
+            for keys in None, *hits:
+                got = load_outcome(load_cache, path, keys)
+                assert got == load_outcome(reference_load_cache, path, keys), mutant
+                outcomes.add(got[0])
+        assert outcomes == {"memo", "error"}
