@@ -8,20 +8,21 @@ verification checks. Each subcommand's parser names its handler, and
 reduced fraction, or with ``--decimal D`` as a correctly rounded D-digit
 approximation marked with a leading ``~``. The other handlers write their
 own output and return the exit code. ``integral`` and ``w`` take
-``--cache FILE``, a saved memo. A hit (FILE holds every key the query
-reads) builds only those entries, and on a file whose header matches its
-body it reads and checks only their lines; any other load checks every
-line. FILE is written only when it did not exist or the command added
-entries.
+``--cache FILE``, a saved memo. A hit (FILE's header matches its body and
+it holds every key the query reads) reads, checks and builds only those
+entries, and writes nothing. Any other load checks every line, and the
+command writes FILE back with a matching header, so a file without one
+gets it and its next hit is verified.
 ``verify --check memo --cache FILE`` derives every entry of such a file
 again from the file's own values. A single check refuses a ``--max-g`` or
 ``--max-n`` it does not take. Only the handlers that use ``verify``,
 ``json`` or the tree pipeline import them.
 Exit codes: 0 on success or all checks passing, 1 on a verification
 failure, 2 on a usage error (refused input, such as ``trees enumerate`` past
-``ENUMERATION_LIMIT`` trees, ``table --max-g`` past ``TABLE_GENUS_LIMIT`` or
-``bernoulli --m`` past ``BERNOULLI_LIMIT``, or a file that cannot be read or
-written), 3 on an internal error.
+``ENUMERATION_LIMIT`` trees, a ``--max-g`` of ``table`` or ``verify --check
+oracle``/``all`` past ``TABLE_GENUS_LIMIT``, ``bernoulli --m`` past
+``BERNOULLI_LIMIT``, or a file that cannot be read or written), 3 on an
+internal error.
 """
 
 from __future__ import annotations
@@ -129,17 +130,16 @@ def _value_text(value: Fraction, decimal_digits: int | None) -> str:
 
 
 def _with_cache(args, keys, compute) -> Fraction:
-    """``compute(memo)``, the memo from ``--cache``: only ``keys`` on a hit."""
+    """``compute`` of the ``--cache`` memo: ``keys`` alone on a hit, else saved."""
     if args.cache == "":
         raise ValueError("--cache needs a file name, not ''")
     exists = bool(args.cache) and os.path.exists(args.cache)
     cache = load_cache(args.cache, keys) if exists else {}
-    hit = exists and all(key in cache for key in keys)
-    loaded = len(cache)  # the memo never rebinds a key, so size counts additions
+    hit = exists and cache.keys() == set(keys)
     value = compute(cache)
-    if hit and len(cache) > loaded:
+    if hit and len(cache) > len(keys):  # keys are distinct, and none is rebound
         raise RuntimeError(f"a query answered from {args.cache} added entries")
-    if args.cache and (len(cache) > loaded or not exists):
+    if args.cache and not hit:
         save_cache(cache, args.cache)
     return value
 
@@ -169,8 +169,11 @@ def _run_verify(args) -> int:
     elif args.cache is not None:
         raise ValueError("--cache goes only with --check memo")
     else:
+        names = CHECKS if args.check == "all" else (args.check,)
+        if "oracle" in names and (args.max_g or 0) > TABLE_GENUS_LIMIT:
+            raise ValueError(f"--max-g above the table limit of {TABLE_GENUS_LIMIT}")
         reports = []
-        for name in CHECKS if args.check == "all" else (args.check,):
+        for name in names:
             function, *params = CHECKS[name]
             given = {}
             bounds = zip(params, ("--max-g", "--max-n"), (args.max_g, args.max_n))

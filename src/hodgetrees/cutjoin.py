@@ -425,15 +425,15 @@ def load_cache(
 
     With ``keys``, a file whose header matches its body (``save_cache`` wrote
     it, and nothing truncated or edited it since) gives the entries of
-    ``keys`` from their own lines alone, each checked by the line rules, if
-    each occurs once. Any other file goes through one loop that checks every
-    line and names the first refused one with the first rule it breaks: a
-    text rule if it misses ``_LINE``, else in order lowest terms, genus >= 0,
-    index in 0..genus, sorted weights, psi exponent >= 0 and no conflicting
-    duplicate. A header on line 1 is skipped, and line numbers count it.
-    Evaluation trusts what loads, so entries it never writes (vanishing or
-    undefined ones) are refused. The memo is the canonical ``keys`` alone if
-    the file has them all.
+    ``keys`` alone, read from their own lines, if each key's line occurs once
+    and passes the line rules. Every other file, and every call without
+    ``keys``, gives every entry from one loop that checks every line and
+    names the first refused one with the first rule it breaks: a text rule if
+    it misses ``_LINE``, else in order lowest terms, genus >= 0, index in
+    0..genus, sorted weights, psi exponent >= 0 and no conflicting duplicate.
+    A header on line 1 is skipped, and line numbers count it. Evaluation
+    trusts what loads, so entries it never writes (vanishing or undefined
+    ones) are refused.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -455,6 +455,4 @@ def load_cache(
                 raise ValueError("conflicting duplicate entry")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if keys is None or not all(key in pairs for key in keys):
-        keys = pairs
-    return {CycleKey(*key): Fraction(*pairs[key]) for key in keys}
+    return {CycleKey(*key): Fraction(*value) for key, value in pairs.items()}

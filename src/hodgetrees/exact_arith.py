@@ -25,7 +25,6 @@ from itertools import accumulate
 __all__ = [
     "format_rational",
     "parse_rational",
-    "rational_pair",
     "TruncatedSeries",
     "bernoulli",
 ]
@@ -71,11 +70,6 @@ def _long_int(text: str) -> int:
 
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical text form, rejecting anything not in lowest terms."""
-    return Fraction(*rational_pair(text))
-
-
-def rational_pair(text: str) -> tuple[int, int]:
-    """``parse_rational`` as (numerator, denominator), with no ``Fraction`` built."""
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a canonical rational: {text!r}")
     p_text, slash, q_text = text.partition("/")
@@ -85,7 +79,7 @@ def rational_pair(text: str) -> tuple[int, int]:
         p, q = _long_int(p_text), _long_int(q_text or "1")
     if slash and (q == 1 or math.gcd(p, q) != 1):
         raise ValueError(f"rational not in lowest terms: {text!r}")
-    return p, q
+    return Fraction(p, q)
 
 
 class TruncatedSeries:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import hodgetrees
+import hodgetrees.cutjoin as cutjoin
 from hodgetrees.cli import _BLOCK_ROWS, main
 from hodgetrees.cutjoin import (
     canonical_key,
@@ -339,6 +340,27 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--check", check, flag, bound)
         assert code == 2 and out == ""
         assert err == f"error: --check {check} takes no {flag}\n"
+
+    @pytest.mark.parametrize("check", ["oracle", "all"])
+    def test_genus_limit_refused_before_any_check(self, capsys, monkeypatch, check):
+        import hodgetrees.cli as cli
+        import hodgetrees.verify as verify
+
+        ran = []
+
+        def passed(**bounds):
+            ran.append(bounds)
+            return verify.CheckReport("stub", "", True, 1)
+
+        for function, *_ in cli.CHECKS.values():
+            monkeypatch.setattr(verify, function, passed)
+        limit = cli.TABLE_GENUS_LIMIT
+        argv = ("verify", "--check", check, "--max-g")
+        code, out, err = run(capsys, *argv, str(limit + 1))
+        assert (code, out, ran) == (2, "", [])
+        assert err == f"error: --max-g above the table limit of {limit}\n"
+        assert run(capsys, *argv, str(limit))[0] == 0
+        assert {"max_genus": limit} in ran
 
     def test_single_check(self, capsys):
         code, out, _ = run(
@@ -740,6 +762,58 @@ class TestKeyedLoad:
         assert (code, out) == (2, "")
         assert err == f"error: {path}:{lineno}: {message}\n"
         assert path.read_bytes() == before
+
+    def test_a_header_less_memo_gets_its_header_from_its_first_hit(
+        self, capsys, tmp_path, monkeypatch, table_8_memo
+    ):
+        saved = table_8_memo.encode("ascii")
+        path = tmp_path / "memo.tsv"
+        path.write_bytes(saved.split(b"\n", 1)[1])
+        argv = ("integral", "--g", "8", "--lambda", "3", "--cache", str(path))
+        expected = (0, f"{format_rational(hodge_integral(8, 3))}\n", "")
+        loaded = self.record_loads(monkeypatch)
+        assert run(capsys, *argv) == expected
+        assert path.read_bytes() == saved  # save_cache's own bytes, header and all
+        assert run(capsys, *argv) == expected
+        full = load_cache(path)
+        assert loaded == [full, {key: full[key] for key in integral_keys(8, 3)}]
+        assert path.read_bytes() == saved
+
+    def test_a_vanishing_query_writes_the_header(self, capsys, tmp_path):
+        path = self.memo(capsys, tmp_path)
+        saved = path.read_bytes()
+        path.write_bytes(saved.split(b"\n", 1)[1])
+        argv = ("w", "--g", "2", "--lambda", "3", "--weights", "1,1,1")
+        assert run(capsys, *argv, "--cache", str(path)) == (0, "0\n", "")
+        assert path.read_bytes() == saved
+
+    def test_a_stale_header_over_an_edit_that_loads_is_rewritten(
+        self, capsys, tmp_path
+    ):
+        path = self.memo(capsys, tmp_path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        edited = body.replace(b"\n1\t1\t1,1\t1/24\n", b"\n1\t1\t1,1\t1/25\n")
+        assert edited != body
+        path.write_bytes(header + b"\n" + edited)
+        assert run(capsys, *HITS[0], "--cache", str(path)) == (0, "7/138240\n", "")
+        assert path.read_bytes() == cutjoin._header(edited) + edited
+
+    def test_a_header_less_memo_that_cannot_be_written_exits_2(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path = self.memo(capsys, tmp_path)
+        body = path.read_bytes().split(b"\n", 1)[1]
+        path.write_bytes(body)
+
+        def refused(*args):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refused)
+        code, out, err = run(capsys, *HITS[0], "--cache", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 13] Permission denied\n"
+        assert path.read_bytes() == body
+        assert os.listdir(tmp_path) == ["memo.tsv"]
 
     def test_subset_memo_is_never_saved(self, capsys, tmp_path, monkeypatch):
         import hodgetrees.cli as cli

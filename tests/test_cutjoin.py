@@ -3,6 +3,7 @@ import math
 import random
 import re
 import zlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from hodgetrees.cutjoin import (
     save_cache,
     step_value,
 )
-from hodgetrees.exact_arith import _INTEGER, format_rational, rational_pair
+from hodgetrees.exact_arith import _INTEGER, format_rational, parse_rational
 from hodgetrees.hodge import hodge_integral, hodge_table, integral_keys
 
 
@@ -660,6 +661,20 @@ class TestCachePersistence:
             for at in 0, len(keys):  # one absent key: the whole memo
                 assert load_cache(path, [*keys[:at], absent, *keys[at:]]) == full
 
+    def test_keys_alone_only_under_a_matching_header(self, tmp_path):
+        memo = {}
+        hodge_table(4, memo)
+        path = tmp_path / "memo.tsv"
+        save_cache(memo, path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        keys = integral_keys(4, 2)
+        assert load_cache(path, keys) == {k: memo[k] for k in keys}
+        stale = header.replace(b"entries=", b"entries=1")
+        for data in body, stale + b"\n" + body:  # no header, a stale one
+            path.write_bytes(data)
+            assert load_cache(path, keys) == memo
+            assert load_cache(path, []) == memo
+
     def test_rejects_conflicting_duplicates(self, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text("1\t1\t1,2\t1/6\n1\t1\t1,2\t1/7\n")
@@ -678,12 +693,16 @@ _REFERENCE_HEADER = re.compile(
 def reference_load_cache(path, keys=None):
     """``load_cache`` as one loop iteration per line, each applying every rule.
 
-    A header on line 1 is skipped unread: this loop checks every line.
+    A header on line 1 is skipped unread: this loop checks every line. The
+    memo is the ``keys`` alone if the file is ``with_header`` of its body and
+    each key is given by exactly one line, else every entry.
     """
     pairs = {}
+    lines = Counter()  # key -> the lines that give it
     checked = {}  # weights text -> sorted weights
     with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle.read().splitlines(), start=1):
+        data = handle.read()
+        for lineno, raw in enumerate(data.splitlines(), start=1):
             if not raw or lineno == 1 and _REFERENCE_HEADER(raw):
                 continue
             try:
@@ -695,7 +714,7 @@ def reference_load_cache(path, keys=None):
                     raise ValueError("key fields must be canonical decimal integers")
                 genus, lam, text = int(fields[0]), int(fields[1]), fields[2]
                 weights = checked.get(text) or tuple(map(int, text.split(",")))
-                value = rational_pair(fields[3])
+                value = parse_rational(fields[3]).as_integer_ratio()
                 if genus < 0:
                     raise ValueError("genus must be nonnegative")
                 if not 0 <= lam <= genus:
@@ -711,9 +730,11 @@ def reference_load_cache(path, keys=None):
                     raise ValueError(message)
                 if pairs.setdefault((genus, lam, weights), value) != value:
                     raise ValueError("conflicting duplicate entry")
+                lines[genus, lam, weights] += 1
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if keys is None or not all(key in pairs for key in keys):
+    verified = data == with_header(data.split(b"\n", 1)[-1])
+    if keys is None or not verified or any(lines[key] != 1 for key in keys):
         keys = pairs
     return {CycleKey(*key): Fraction(*pairs[key]) for key in keys}
 

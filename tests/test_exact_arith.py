@@ -12,7 +12,6 @@ from hodgetrees.exact_arith import (
     bernoulli,
     format_rational,
     parse_rational,
-    rational_pair,
 )
 from hodgetrees.oracle import gf_expand
 
@@ -92,14 +91,17 @@ class TestRationalText:
         assert format_rational(Fraction(-(10**4400))) == "-1" + "0" * 4400
 
     def test_pair_is_the_parsed_value(self):
-        for text in ("0", "-7/2880", "3", f"1/{_BIG}", f"-{_BIG_TWO}/{_BIG}"):
-            p, q = rational_pair(text)
-            assert type(p) is int and type(q) is int
-            value = parse_rational(text)
-            assert (p, q) == (value.numerator, value.denominator)
+        for text, pair in (
+            ("0", (0, 1)),
+            ("-7/2880", (-7, 2880)),
+            ("3", (3, 1)),
+            (f"1/{_BIG}", (1, 7**5210)),
+            (f"-{_BIG_TWO}/{_BIG}", (-(2**14630), 7**5210)),
+        ):
+            assert parse_rational(text).as_integer_ratio() == pair
         for text in ("2/4", "1/1", "+1", ""):
             with pytest.raises(ValueError):
-                rational_pair(text)
+                parse_rational(text)
 
 
 def reference_parse(text):
