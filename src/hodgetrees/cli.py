@@ -10,11 +10,10 @@ approximation marked with a leading ``~``. The other handlers write their
 own output and return the exit code. ``integral`` and ``w`` take
 ``--cache FILE``, a saved memo. A hit (FILE's header matches its body and
 it holds every key the query reads) reads, checks and builds only those
-entries, and writes nothing. Any other load checks every line, and the
-command writes FILE back with a matching header, so a file without one
-gets it and its next hit is verified.
-``verify --check memo --cache FILE`` derives every entry of such a file
-again from the file's own values. A single check refuses a ``--max-g`` or
+entries, read-only, and writes nothing. A miss, or a file without a header,
+checks every line and is written back with a matching header. A header
+that does not match its body is refused; ``verify --check memo --cache
+FILE`` names a wrong entry. A single check refuses a ``--max-g`` or
 ``--max-n`` it does not take. Only the handlers that use ``verify``,
 ``json`` or the tree pipeline import them.
 Exit codes: 0 on success or all checks passing, 1 on a verification
@@ -130,16 +129,13 @@ def _value_text(value: Fraction, decimal_digits: int | None) -> str:
 
 
 def _with_cache(args, keys, compute) -> Fraction:
-    """``compute`` of the ``--cache`` memo: ``keys`` alone on a hit, else saved."""
+    """``compute`` of the ``--cache`` memo, saved unless it is a read-only hit."""
     if args.cache == "":
         raise ValueError("--cache needs a file name, not ''")
     exists = bool(args.cache) and os.path.exists(args.cache)
     cache = load_cache(args.cache, keys) if exists else {}
-    hit = exists and cache.keys() == set(keys)
     value = compute(cache)
-    if hit and len(cache) > len(keys):  # keys are distinct, and none is rebound
-        raise RuntimeError(f"a query answered from {args.cache} added entries")
-    if args.cache and not hit:
+    if args.cache and type(cache) is dict:
         save_cache(cache, args.cache)
     return value
 

@@ -51,7 +51,8 @@ import re
 import zlib
 from collections import Counter
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .exact_arith import _INTEGER, _long_int, format_rational, parse_rational
 
@@ -420,31 +421,33 @@ def _hit(data: bytes, keys: Collection[CycleKey]) -> dict | None:
 
 def load_cache(
     path: str | os.PathLike, keys: Collection[CycleKey] | None = None
-) -> dict[CycleKey, Fraction]:
+) -> Mapping[CycleKey, Fraction]:
     """Parse a cache file, rejecting any line that fails strict validation.
 
     With ``keys``, a file whose header matches its body (``save_cache`` wrote
     it, and nothing truncated or edited it since) gives the entries of
-    ``keys`` alone, read from their own lines, if each key's line occurs once
-    and passes the line rules. Every other file, and every call without
-    ``keys``, gives every entry from one loop that checks every line and
-    names the first refused one with the first rule it breaks: a text rule if
-    it misses ``_LINE``, else in order lowest terms, genus >= 0, index in
-    0..genus, sorted weights, psi exponent >= 0 and no conflicting duplicate.
-    A header on line 1 is skipped, and line numbers count it. Evaluation
-    trusts what loads, so entries it never writes (vanishing or undefined
-    ones) are refused.
+    ``keys`` alone, read-only and from their own lines, if each key's line
+    occurs once and passes the line rules. Any other call gives a dict of
+    every entry from one loop that checks every line and names the first
+    refused one with the first rule it breaks: a text rule if it misses
+    ``_LINE``, else in order lowest terms, genus >= 0, index in 0..genus,
+    sorted weights, psi exponent >= 0 and no conflicting duplicate; then,
+    with ``keys``, a header on line 1 that does not match the body. That
+    header is skipped, and line numbers count it. Evaluation trusts what
+    loads, so entries it never writes (vanishing or undefined ones) are
+    refused.
     """
     with open(path, "rb") as handle:
         data = handle.read()
     if keys is not None:
         memo = _hit(data, keys)
         if memo is not None:
-            return memo
+            return MappingProxyType(memo)
     pairs: dict[tuple, tuple[int, int]] = {}  # (genus, lam, weights) -> (p, q)
     checked: dict[bytes, tuple[int, ...]] = {}  # weights text -> sorted weights
     lines = data.splitlines()
-    if lines and _HEADER.fullmatch(lines[0]):
+    headed = bool(lines) and _HEADER.fullmatch(lines[0])
+    if headed:
         lines[0] = b""  # skipped as blank, so line numbers still count it
     for lineno, line in enumerate(lines, start=1):
         if not line:
@@ -455,4 +458,6 @@ def load_cache(
                 raise ValueError("conflicting duplicate entry")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if keys is not None and headed and _hit(data, ()) is None:  # stale header
+        raise ValueError(f"{path}:1: header does not match the body")
     return {CycleKey(*key): Fraction(*value) for key, value in pairs.items()}

@@ -8,11 +8,11 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
 import hodgetrees
-import hodgetrees.cutjoin as cutjoin
 from hodgetrees.cli import _BLOCK_ROWS, main
 from hodgetrees.cutjoin import (
     canonical_key,
@@ -787,7 +787,7 @@ class TestKeyedLoad:
         assert run(capsys, *argv, "--cache", str(path)) == (0, "0\n", "")
         assert path.read_bytes() == saved
 
-    def test_a_stale_header_over_an_edit_that_loads_is_rewritten(
+    def test_a_stale_header_over_an_edit_that_loads_is_refused(
         self, capsys, tmp_path
     ):
         path = self.memo(capsys, tmp_path)
@@ -795,8 +795,52 @@ class TestKeyedLoad:
         edited = body.replace(b"\n1\t1\t1,1\t1/24\n", b"\n1\t1\t1,1\t1/25\n")
         assert edited != body
         path.write_bytes(header + b"\n" + edited)
-        assert run(capsys, *HITS[0], "--cache", str(path)) == (0, "7/138240\n", "")
-        assert path.read_bytes() == cutjoin._header(edited) + edited
+        code, out, err = run(capsys, *HITS[0], "--cache", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:1: header does not match the body\n"
+        assert path.read_bytes() == header + b"\n" + edited
+
+    def test_a_stale_header_leaves_keyless_reads_to_the_audit(self, capsys, tmp_path):
+        path = tmp_path / "memo.tsv"
+        run(capsys, "integral", "--g", "3", "--lambda", "1", "--cache", str(path))
+        memo = load_cache(path)
+        edited = path.read_bytes().replace(b"\t91/5760\n", b"\t91/576\n")
+        assert edited.count(b"\t91/576\n") == 1
+        path.write_bytes(edited)
+        code, out, err = run(
+            capsys, "w", "--g", "2", "--lambda", "0", "--weights", "1,1,2",
+            "--cache", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:1: header does not match the body\n"
+        assert path.read_bytes() == edited
+        memo[canonical_key(2, 0, (1, 1, 2))] = Fraction(91, 576)
+        assert load_cache(path) == memo  # keyless: every entry, the wrong one too
+        code, out, _ = run(capsys, "verify", "--check", "memo", "--cache", str(path))
+        assert code == 1
+        assert out == (
+            f"FAIL memo range cache={path} counterexample g=2,lambda=0,"
+            "weights=[1,1,2]: lhs=91/576 rhs=91/5760\n"
+        )
+
+    def test_a_header_less_memo_of_just_the_query_gets_its_header(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "memo.tsv"
+        path.write_bytes(b"1\t1\t3\t1/3\n")
+        saved = tmp_path / "saved.tsv"
+        save_cache({canonical_key(1, 1, (3,)): Fraction(1, 3)}, saved)
+        argv = ("w", "--g", "1", "--lambda", "1", "--weights", "3")
+        argv += ("--cache", str(path))
+        assert run(capsys, *argv) == (0, "1/3\n", "")
+        assert path.read_bytes() == saved.read_bytes()
+        assert path.read_bytes().startswith(b"#hodgetrees-memo/1 entries=1 ")
+        assert type(load_cache(path, [canonical_key(1, 1, (3,))])) is MappingProxyType
+        mtime = 1_000_000_000_000_000_000
+        os.utime(path, ns=(mtime, mtime))
+        assert run(capsys, *argv) == (0, "1/3\n", "")
+        assert path.read_bytes() == saved.read_bytes()
+        assert path.stat().st_mtime_ns == mtime
 
     def test_a_header_less_memo_that_cannot_be_written_exits_2(
         self, capsys, tmp_path, monkeypatch
@@ -825,7 +869,9 @@ class TestKeyedLoad:
         )
         code, out, err = run(capsys, *HITS[0], "--cache", str(path))
         assert (code, out) == (3, "")
-        assert err == f"error: internal: a query answered from {path} added entries\n"
+        # the read-only mapping's own error, before any write
+        refusal = "'mappingproxy' object has no attribute 'setdefault'"
+        assert err == f"error: internal: {refusal}\n"
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["memo.tsv"]
 

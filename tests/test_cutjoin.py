@@ -5,6 +5,7 @@ import re
 import zlib
 from collections import Counter
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings
@@ -654,6 +655,7 @@ class TestCachePersistence:
         for keys in key_sets:
             keyed = load_cache(path, keys)
             assert keyed == {k: full[k] for k in keys}
+            assert type(keyed) is MappingProxyType and type(full) is dict
             assert all(type(k) is CycleKey for k in keyed)
             assert all(type(v) is Fraction for v in keyed.values())
             absent = key(4, 1, (1, 1, 1, 1, 1, 1, 9))
@@ -669,11 +671,15 @@ class TestCachePersistence:
         header, body = path.read_bytes().split(b"\n", 1)
         keys = integral_keys(4, 2)
         assert load_cache(path, keys) == {k: memo[k] for k in keys}
-        stale = header.replace(b"entries=", b"entries=1")
-        for data in body, stale + b"\n" + body:  # no header, a stale one
-            path.write_bytes(data)
-            assert load_cache(path, keys) == memo
-            assert load_cache(path, []) == memo
+        path.write_bytes(body)  # no header: every entry, to be saved with one
+        assert load_cache(path, keys) == memo == load_cache(path, [])
+        assert type(load_cache(path, keys)) is dict
+        path.write_bytes(header.replace(b"entries=", b"entries=1") + b"\n" + body)
+        assert load_cache(path) == memo  # a stale header: keyless reads load
+        for keys in keys, []:
+            with pytest.raises(ValueError) as refused:
+                load_cache(path, keys)
+            assert str(refused.value) == f"{path}:1: header does not match the body"
 
     def test_rejects_conflicting_duplicates(self, tmp_path):
         path = tmp_path / "dup.tsv"
@@ -694,8 +700,10 @@ def reference_load_cache(path, keys=None):
     """``load_cache`` as one loop iteration per line, each applying every rule.
 
     A header on line 1 is skipped unread: this loop checks every line. The
-    memo is the ``keys`` alone if the file is ``with_header`` of its body and
-    each key is given by exactly one line, else every entry.
+    memo is the ``keys`` alone, read-only, if the file is ``with_header`` of
+    its body and each key is given by exactly one line. Else, with ``keys``,
+    a header that is not that one is refused as line 1; any other file gives
+    a dict of every entry.
     """
     pairs = {}
     lines = Counter()  # key -> the lines that give it
@@ -734,9 +742,12 @@ def reference_load_cache(path, keys=None):
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     verified = data == with_header(data.split(b"\n", 1)[-1])
-    if keys is None or not verified or any(lines[key] != 1 for key in keys):
-        keys = pairs
-    return {CycleKey(*key): Fraction(*pairs[key]) for key in keys}
+    if keys is not None and verified and all(lines[key] == 1 for key in keys):
+        return MappingProxyType({CycleKey(*k): Fraction(*pairs[k]) for k in keys})
+    first = (data.splitlines() or [b""])[0]
+    if keys is not None and not verified and _REFERENCE_HEADER(first):
+        raise ValueError(f"{path}:1: header does not match the body")
+    return {CycleKey(*key): Fraction(*value) for key, value in pairs.items()}
 
 
 def with_header(body):
@@ -746,12 +757,12 @@ def with_header(body):
 
 
 def load_outcome(load, path, keys=None):
-    """The memo with the type of every key and value, or the error text."""
+    """The memo with its type and that of every key and value, or the error text."""
     try:
         memo = load(path, keys)
     except ValueError as exc:
         return "error", str(exc)
-    return "memo", memo, {(type(k), type(v)) for k, v in memo.items()}
+    return "memo", memo, type(memo), {(type(k), type(v)) for k, v in memo.items()}
 
 
 # Every line test_rejects_malformed_lines, test_rejects_entries_no_evaluation_writes
@@ -794,6 +805,32 @@ REFUSED_LINES = [
     b"x\t1\t1,2\t2/4",  # the text rules before the value rules
     b"1" * 5000 + b"\t1\t3\t0.5",  # the key's digit limit before a malformed value
 ]
+
+
+def seeded_g4_mutants(path):
+    """Seeded edits of the headered g<=4 memo, which ``path`` is left holding.
+
+    In order: 240 one-byte replacements, insertions and deletions, 40
+    truncations and 40 appended lines, each refused or a copy of one.
+    """
+    memo = {}
+    hodge_table(4, memo)
+    save_cache(memo, path)
+    data = path.read_bytes()
+    body_lines = data.splitlines()[1:]
+    rng = random.Random(24)
+    mutants = []
+    for _ in range(240):
+        at = rng.randrange(len(data))
+        byte = rng.choice([*b"0123456789/,-\t\n\rx#=", rng.randrange(256)])
+        tail = data[at + 1 :] if rng.random() < 0.6 else data[at:]
+        byte = bytes([byte]) if rng.random() < 0.8 else b""
+        mutants.append(data[:at] + byte + tail)
+    mutants += [data[: rng.randrange(len(data))] for _ in range(40)]
+    for _ in range(40):
+        extra = rng.choice([*REFUSED_LINES, *rng.sample(body_lines, 4)])
+        mutants.append(data + extra + b"\n")
+    return mutants
 
 
 class TestAgainstReferenceLoad:
@@ -954,30 +991,39 @@ class TestAgainstReferenceLoad:
             assert cutjoin._hit(data, keys) == got[1]  # read off its own lines
 
     def test_seeded_mutations_of_a_headered_g4_memo(self, tmp_path):
-        memo = {}
-        hodge_table(4, memo)
         path = tmp_path / "memo.tsv"
-        save_cache(memo, path)
-        data = path.read_bytes()
-        body_lines = data.splitlines()[1:]
-        rng = random.Random(24)
-        mutants = []
-        for _ in range(240):  # one byte replaced, inserted or deleted
-            at = rng.randrange(len(data))
-            byte = rng.choice([*b"0123456789/,-\t\n\rx#=", rng.randrange(256)])
-            tail = data[at + 1 :] if rng.random() < 0.6 else data[at:]
-            byte = bytes([byte]) if rng.random() < 0.8 else b""
-            mutants.append(data[:at] + byte + tail)
-        mutants += [data[: rng.randrange(len(data))] for _ in range(40)]
-        for _ in range(40):  # one line appended, refused or a copy of one
-            extra = rng.choice([*REFUSED_LINES, *rng.sample(body_lines, 4)])
-            mutants.append(data + extra + b"\n")
         hits = integral_keys(4, 2), [key(3, 1, (1, 1, 1))], [key(4, 4, (1,) * 5)]
         outcomes = set()
-        for mutant in mutants:
+        for mutant in seeded_g4_mutants(path):
             path.write_bytes(mutant)
             for keys in None, *hits:
                 got = load_outcome(load_cache, path, keys)
                 assert got == load_outcome(reference_load_cache, path, keys), mutant
                 outcomes.add(got[0])
         assert outcomes == {"memo", "error"}
+
+
+def test_no_seeded_edit_of_a_headered_g4_memo_prints_a_wrong_value(capsys, tmp_path):
+    # Each edit or truncation either answers with the unedited memo's value
+    # or is refused with exit 2, an empty stdout and the file left as it was.
+    from hodgetrees.cli import main
+
+    path = tmp_path / "memo.tsv"
+    mutants = seeded_g4_mutants(path)[:280]
+    queries = {
+        ("integral", "--g", "4", "--lambda", "2"): hodge_integral(4, 2),
+        ("w", "--g", "3", "--lambda", "1", "--weights", "1,1,1"): value(3, 1, (1,) * 3),
+    }
+    codes = Counter()
+    for mutant in mutants:
+        for argv, expected in queries.items():
+            path.write_bytes(mutant)
+            code = main([*argv, "--cache", str(path)])
+            out = capsys.readouterr().out
+            if code == 0:
+                assert out == f"{format_rational(expected)}\n", mutant
+            else:
+                assert (code, out) == (2, ""), mutant
+                assert path.read_bytes() == mutant
+            codes[code] += 1
+    assert sorted(codes) == [0, 2]
