@@ -19,9 +19,9 @@ FILE`` names a wrong entry. A single check refuses a ``--max-g`` or
 Exit codes: 0 on success or all checks passing, 1 on a verification
 failure, 2 on a usage error (refused input, such as ``trees enumerate`` past
 ``ENUMERATION_LIMIT`` trees, a ``--max-g`` of ``table`` or ``verify --check
-oracle``/``all`` past ``TABLE_GENUS_LIMIT``, ``bernoulli --m`` past
-``BERNOULLI_LIMIT``, or a file that cannot be read or written), 3 on an
-internal error.
+oracle``/``independence``/``all`` past ``TABLE_GENUS_LIMIT``, ``bernoulli
+--m`` past ``BERNOULLI_LIMIT``, or a file that cannot be read or written), 3
+on an internal error.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ def __getattr__(name: str):
 # (0, 8) and refuses (2, 7) with 3,016,440 trees.
 ENUMERATION_LIMIT = 2_000_000
 
-# table keeps every recursion state in its memo, about 0.29 KiB each: --max-g 20,
-# 809,634 states, peaked at 238 MiB in 21 s (Python 3.11.7). The count doubles
-# about every two genera, so this refuses 22: some 1.6 million states, 0.5 GiB.
+# table keeps every recursion state in its memo, about 0.3 KiB each: --max-g 20,
+# 809,634 states, peaked at 250 MiB in 13.5 s (Python 3.11.7, 2 vCPU). The count
+# doubles about every two genera, so this refuses 22: some 1.6 million, 0.5 GiB.
 TABLE_GENUS_LIMIT = 20
 
 # bernoulli's work grows about as m**3: --m 1,000, 2,000, 3,000 and 4,000 took
@@ -166,7 +166,8 @@ def _run_verify(args) -> int:
         raise ValueError("--cache goes only with --check memo")
     else:
         names = CHECKS if args.check == "all" else (args.check,)
-        if "oracle" in names and (args.max_g or 0) > TABLE_GENUS_LIMIT:
+        tabled = {"oracle", "independence"}.intersection(names)
+        if tabled and (args.max_g or 0) > TABLE_GENUS_LIMIT:
             raise ValueError(f"--max-g above the table limit of {TABLE_GENUS_LIMIT}")
         reports = []
         for name in names:

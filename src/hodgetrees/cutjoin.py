@@ -23,24 +23,18 @@ exponent 0, and only genus 0, index 0, one weight has a negative one.
 
 The psi exponent 2g + n - 2 - index drops by exactly one at every rewrite,
 so a query with positive exponent resolves to seeds and vanishing values in
-finitely many steps, which evaluation walks with an explicit stack (no
-recursion limit bounds their depth).
-
-Since the coefficients depend on the weights alone, and genus and index only
-pick each child's layer, a step is built once per partition: one
-``recursion_terms`` call at (2, 1), where no child vanishes, gives the
-partition's transitions (genus offset, index offset, child weights, integer
-coefficient). Evaluation visits a state in one pass over them: it drops the
-children whose index leaves 0..genus and reads the others as integer pairs.
-If some are unknown, they go on the stack above the state, which is passed
-over again once they are known; else the value is one reduced ``Fraction``,
-coefficient times child numerator summed over the lcm of the child
-denominators. ``step_value`` is the same pass over a given memo. The
-transitions table lives as long as the process; its entries are immutable
-and depend on the weights alone, so threads may share it. Evaluation is
-pure given the memo dictionary; a single dict may be shared across threads
-only because rebinding a key to a different value is rejected, but the
-intended use is one cache per thread.
+finitely many steps. The coefficients depend on the weights alone, and one
+``recursion_terms`` call at (2, 1), where no child vanishes, gives them for
+every layer. So evaluation works on rows: a genus and weights, over indices
+from a lowest one up to the genus. Joins and handle removals keep genus minus
+index, a split lowers it by one, so a call at (g, i, a) fills its key's λ-tail
+(g, i'', a), i'' = i..g, and on an empty memo exactly the states those reach.
+Two loops, with no recursion and so no depth limit: the first takes rows in
+decreasing (genus, number of weights), after every row that reaches them,
+with the lowest index they need, and reads each row the memo holds whole; the
+second evaluates the others children first, each as one integer vector over
+one denominator, and adds the states the memo lacks. One it holds must equal
+its value, so threads may share a memo; one per thread is the intended use.
 """
 
 from __future__ import annotations
@@ -51,6 +45,8 @@ import re
 import zlib
 from collections import Counter
 from fractions import Fraction
+from heapq import heappop, heappush
+from operator import mul
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
@@ -161,10 +157,10 @@ def cycle_value(
 ) -> Fraction:
     """Exact value of the cycle integral at ``key``: genus, index, weights in any order.
 
-    ``cache`` maps keys to values and is filled as evaluation proceeds; a key
-    already present is trusted and never recomputed. A negative psi exponent
-    that the index convention does not kill raises ``UndefinedExponentError``;
-    only malformed queries have one, never the recursion itself.
+    ``cache`` maps keys to values. A key already present is returned as it is;
+    any other call fills the key's λ-tail and the rows it reaches, as the module
+    docstring says. A negative psi exponent that the index convention does not
+    kill raises ``UndefinedExponentError``; only malformed queries have one.
     """
     key = canonical_key(*key)
     if not 0 <= key.lam <= key.genus:
@@ -172,104 +168,127 @@ def cycle_value(
     cache = {} if cache is None else cache
     if key in cache:
         return cache[key]
-    # Every state pushed was missing from the memo, so it is done once pairs
-    # holds it. States are plain tuples, equal to and hashed like their keys;
-    # a CycleKey is built once per state, when it enters the memo.
-    pairs: dict[tuple, tuple[int, int]] = {}
-    stack: list[tuple] = [key]
-    while stack:
-        top = stack[-1]
-        if top in pairs:
-            stack.pop()
+    if key.exponent < 0:
+        return step_value(key, cache)  # raises UndefinedExponentError
+    low = {key[::2]: key.lam}  # row (genus, weights) -> lowest index it needs
+    heap = [(-key.genus, -len(key.weights), *key[::2])]
+    order, rows = [], {}  # rows to evaluate; row -> (low, numerators, denominator)
+    while heap:
+        _, _, genus, weights = row = heappop(heap)
+        if heap and heap[0] == row:  # pushed again when its lowest index fell
             continue
-        value = _state(*top, pairs, cache)
-        if type(value) is list:
-            stack += value
-            continue
-        stack.pop()
-        pairs[top] = value.as_integer_ratio()
-        top = CycleKey(*top)
-        previous = cache.setdefault(top, value)
-        if previous is not value and previous != value:
-            raise RuntimeError(f"memo cache rebound {top}: {previous} vs {value}")
+        lo = low[genus, weights]
+        if (genus, lo, weights) in cache:  # if held whole: read, not expanded
+            values = [cache.get((genus, lam, weights)) for lam in range(lo, genus + 1)]
+            if all(value is not None for value in values):
+                common = math.lcm(*[v.denominator for v in values])
+                numerators = [v.numerator * (common // v.denominator) for v in values]
+                rows[genus, weights] = lo, numerators, common
+                continue
+        top = min(genus, 2 * genus + len(weights) - 3)  # last positive exponent
+        order.append((genus, weights, lo))
+        for dg, dl, children, _ in _transitions(weights) if lo <= top else ():
+            first, child_genus = max(lo + dl, 0), genus + dg
+            for child in children if first <= min(top + dl, child_genus) else ():
+                if first < low.get((child_genus, child), child_genus + 1):
+                    low[child_genus, child] = first
+                    heappush(heap, (-child_genus, -len(child), child_genus, child))
+    for genus, weights, lo in reversed(order):  # children first
+        values, numerators, denominator = _row(genus, weights, lo, genus, rows)
+        rows[genus, weights] = lo, numerators, denominator
+        for lam, value in enumerate(values, lo):
+            state = CycleKey(genus, lam, weights)
+            previous = cache.setdefault(state, value)
+            if previous is not value and previous != value:
+                raise RuntimeError(f"memo cache rebound {state}: {previous} vs {value}")
     return cache[key]
 
 
-# Weights -> (genus offset, index offset, child weights, integer coefficient)
-# per child, filled on first use and kept for the life of the process. Entries
-# are immutable and depend on the weights alone, so threads may share the
-# table: two that race on one partition store equal entries.
+# Weights -> (genus offset, index offset, child weights, integer coefficients)
+# per family of children, kept for the life of the process. Entries depend on
+# the weights alone, so threads may share it: racing writers store equal ones.
 _TRANSITIONS: dict[tuple[int, ...], tuple[tuple, ...]] = {}
 
 
 def _transitions(weights: tuple[int, ...]) -> tuple[tuple, ...]:
-    """One step's children for every (genus, index), from one ``recursion_terms``.
+    """One step's children for every layer, from ``recursion_terms`` at (2, 1).
 
-    At (2, 1) the exponent n + 1 is positive and every child any layer can
-    have is kept; coefficients become integers over 12*N*(2g + n - 1).
+    There no child vanishes; coefficients become integers over 12*N*(2g + n - 1).
     """
     entries = _TRANSITIONS.get(weights)
     if entries is None:
         scale = 12 * sum(weights) * (len(weights) + 3)
-        built = []
+        groups: dict[tuple, list] = {}
         for coefficient, child in recursion_terms(CycleKey(2, 1, weights)):
-            integer = coefficient * scale
-            assert integer.denominator == 1, f"{coefficient} at {weights}"
-            built.append(
-                (child.genus - 2, child.lam - 1, child.weights, integer.numerator)
-            )
-        entries = _TRANSITIONS[weights] = tuple(built)
+            p, q = coefficient.as_integer_ratio()
+            assert p * scale % q == 0, f"{coefficient} at {weights}"
+            groups.setdefault(child[:2], []).append((child.weights, p * scale // q))
+        entries = _TRANSITIONS[weights] = tuple(
+            (g - 2, lam - 1, *zip(*group)) for (g, lam), group in groups.items()
+        )
     return entries
 
 
-def _state(genus: int, lam: int, weights: tuple, pairs: dict, cache: dict):
-    """A state's value from one pass over its step, or the children it lacks.
+def _row(genus: int, weights: tuple, low: int, high: int, rows: dict) -> tuple:
+    """A row's values at indices low..high: ``Fraction``s, numerators, denominator.
 
-    An index outside 0..genus gives 0, psi exponent 0 a seed's closed form, a
-    negative one ``UndefinedExponentError``. Children in 0..genus are read as
-    integer pairs from ``pairs``, else from ``cache``, then kept in ``pairs``.
+    Each transition adds its coefficient times its child row's slice over the
+    lcm of the child denominators, a seed its closed form; one gcd reduces the
+    sum. One index with no seed is one lcm of integer pairs and one Fraction.
     """
-    if not 0 <= lam <= genus:
-        return _ZERO
-    exponent = 2 * genus + len(weights) - 2 - lam
-    if exponent == 0:
-        return Fraction(weights[0] * weights[0] - 1, 24) if genus else Fraction(1)
-    if exponent < 0:
-        key = CycleKey(genus, lam, weights)
-        raise UndefinedExponentError(
-            f"undefined integrand exponent {exponent} for {key}"
-        )
-    terms, missing = [], []
-    for dg, dl, child_weights, c in _transitions(weights):
-        if 0 <= lam + dl <= genus + dg:
-            child = (genus + dg, lam + dl, child_weights)
-            pair = pairs.get(child)
-            if pair is None:
-                value = cache.get(child)
-                if value is None:
-                    missing.append(child)
-                    continue
-                pair = pairs[child] = value.as_integer_ratio()
-            terms.append((c, pair))
-    if missing:
-        return missing
-    common = math.lcm(*[d for _, (_, d) in terms])
-    numerator = sum([c * n * (common // d) for c, (n, d) in terms])
+    top = min(high, 2 * genus + len(weights) - 3)
     scale = 12 * sum(weights) * (2 * genus + len(weights) - 1)
-    return Fraction(numerator, common * scale)
+    if low == top == high:
+        pairs = []
+        for dg, dl, children, coefficients in _transitions(weights):
+            valid = 0 <= low + dl <= genus + dg
+            for child, c in zip(children, coefficients) if valid else ():
+                start, numerators, d = rows[genus + dg, child]
+                pairs.append((c * numerators[low + dl - start], d))
+        common = math.lcm(*[d for _, d in pairs])
+        numerator = sum([n * (common // d) if d != common else n for n, d in pairs])
+        value = Fraction(numerator, common * scale)
+        return [value], [value.numerator], value.denominator
+    spans = []  # (first index, its offset in the row, end, coefficients, rows)
+    if top < high:  # the seed at index genus, as a term over its own denominator
+        p, q = (weights[0] * weights[0] - 1, 24) if genus else (1, 1)
+        spans.append((0, high - low, 1, (p * scale,), [(0, [1], q)]))
+    for dg, dl, children, coefficients in _transitions(weights) if low <= top else ():
+        first, end = max(low + dl, 0), min(top + dl, genus + dg) + 1
+        if first < end:
+            parts = [rows[genus + dg, child] for child in children]
+            spans.append((first, first - dl - low, end, coefficients, parts))
+    common = math.lcm(*[d for span in spans for _, _, d in span[4]])
+    sums = [0] * (high - low + 1)
+    for first, at, end, coefficients, parts in spans:
+        factors = list(map(mul, coefficients, [common // d for _, _, d in parts]))
+        cols = zip(*[numerators[first - s : end - s] for s, numerators, _ in parts])
+        into = slice(at, at + end - first)  # the row indices of those columns
+        sums[into] = [t + sum(map(mul, factors, c)) for t, c in zip(sums[into], cols)]
+    divisor = math.gcd(scale * common, *sums)
+    sums, scale = [s // divisor for s in sums], scale * common // divisor
+    return [Fraction(s, scale) for s in sums], sums, scale
 
 
-def step_value(key: CycleKey, cache: dict[CycleKey, Fraction]) -> Fraction:
+def step_value(key: CycleKey, cache: Mapping[CycleKey, Fraction]) -> Fraction:
     """The value of ``key`` from one step over its children's values in ``cache``.
 
-    Vanishing keys give 0 and seeds their closed form. The first child missing
-    from ``cache`` raises ``KeyError``, a negative psi exponent
-    ``UndefinedExponentError``.
+    Vanishing keys give 0, seeds their closed form. The first child missing from
+    ``cache`` raises ``KeyError``, a negative psi exponent ``UndefinedExponentError``.
     """
-    value = _state(*key, {}, cache)
-    if type(value) is list:
-        raise KeyError(value[0])
-    return value
+    genus, lam, weights = key = CycleKey(*key)
+    if not 0 <= lam <= genus:
+        return _ZERO
+    if key.exponent < 0:
+        raise UndefinedExponentError(
+            f"undefined integrand exponent {key.exponent} for {key}"
+        )
+    rows = {}
+    for dg, dl, children, _ in _transitions(weights) if key.exponent else ():
+        for child in children if 0 <= lam + dl <= genus + dg else ():
+            value = cache[genus + dg, lam + dl, child]
+            rows[genus + dg, child] = lam + dl, [value.numerator], value.denominator
+    return _row(genus, weights, lam, lam, rows)[0][0]
 
 
 def _check_key(genus: int, lam: int, weights: tuple, unsorted: bool) -> None:

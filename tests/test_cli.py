@@ -341,7 +341,7 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: --check {check} takes no {flag}\n"
 
-    @pytest.mark.parametrize("check", ["oracle", "all"])
+    @pytest.mark.parametrize("check", ["oracle", "independence", "all"])
     def test_genus_limit_refused_before_any_check(self, capsys, monkeypatch, check):
         import hodgetrees.cli as cli
         import hodgetrees.verify as verify
@@ -361,6 +361,24 @@ class TestVerify:
         assert err == f"error: --max-g above the table limit of {limit}\n"
         assert run(capsys, *argv, str(limit))[0] == 0
         assert {"max_genus": limit} in ran
+
+    @pytest.mark.parametrize("check", ["tree-identity", "bernoulli"])
+    def test_genus_limit_is_only_for_checks_that_build_tables(
+        self, capsys, monkeypatch, check
+    ):
+        import hodgetrees.cli as cli
+        import hodgetrees.verify as verify
+
+        ran = []
+
+        def passed(**bounds):
+            ran.append(bounds)
+            return verify.CheckReport("stub", "", True, 1)
+
+        monkeypatch.setattr(verify, cli.CHECKS[check][0], passed)
+        above = str(cli.TABLE_GENUS_LIMIT + 1)
+        assert run(capsys, "verify", "--check", check, "--max-g", above)[0] == 0
+        assert ran == [{"max_genus": cli.TABLE_GENUS_LIMIT + 1}]
 
     def test_single_check(self, capsys):
         code, out, _ = run(

@@ -319,6 +319,49 @@ def reference_cycle_value(key, cache=None):
     return reference_evaluate(canonical_key(*key), {} if cache is None else cache)
 
 
+def reference_tail(key):
+    """The memo ``reference_evaluate`` leaves for each key of ``key``'s λ-tail."""
+    memo = {}
+    if 0 <= key.lam <= key.genus:
+        for lam in range(key.lam, key.genus + 1):
+            reference_evaluate(CycleKey(key.genus, lam, key.weights), memo)
+    return memo
+
+
+def reference_rows(key, memo):
+    """``cycle_value(key, memo)`` by the row rule, with ``recursion_terms``.
+
+    A key in ``memo`` is returned as it is. Otherwise a row, a genus and
+    weights, is needed from the lowest index at which a state of an expanded
+    row has it as a child, the key's row from the key's index. Rows are taken
+    in decreasing (genus, number of weights), after every row that reaches
+    them. A row whose states from there up to its genus are all in ``memo`` is
+    not expanded. Every state of every other row is evaluated, children first;
+    a present one is kept.
+    """
+    if not 0 <= key.lam <= key.genus:
+        return Fraction(0)
+    if key in memo:
+        return memo[key]
+    low, taken, expanded = {(key.genus, key.weights): key.lam}, set(), []
+    while len(taken) < len(low):
+        row = max(low.keys() - taken, key=lambda row: (row[0], len(row[1]), row))
+        taken.add(row)
+        genus, weights = row
+        states = [CycleKey(genus, lam, weights) for lam in range(low[row], genus + 1)]
+        if all(state in memo for state in states):
+            continue
+        expanded.append(states)
+        for state in states:
+            for _, child in recursion_terms(state) if state.exponent > 0 else ():
+                child_row = child.genus, child.weights
+                low[child_row] = min(child.lam, low.get(child_row, child.lam))
+    for states in reversed(expanded):
+        for state in states:
+            reference_evaluate(state, memo)
+    return memo[key]
+
+
 def assert_same_memos(fast, reference):
     assert fast == reference
     assert all(type(k) is CycleKey for k in fast)
@@ -357,23 +400,59 @@ class TestAgainstReferenceEvaluation:
     @example(2, 3, [1, 1], 0)  # vanishes
     @example(6, 3, [6, 6, 6, 6], 2)
     @example(3, 1, [4, 1, 2], 0)  # unsorted
+    @example(4, 0, [1, 2, 3], 2)
     def test_keys_from_empty_and_partial_memos(self, genus, lam, weights, keep):
         k = canonical_key(genus, lam, weights)
-        full = {}
         try:
-            expected = reference_evaluate(k, full)
+            expected = reference_evaluate(k, {})
         except UndefinedExponentError:
             with pytest.raises(UndefinedExponentError):
                 cycle_value(k)
             return
-        # keep = 0 starts from an empty memo, otherwise from every keep-th
-        # entry of the full one, so evaluation stops early on some branches.
-        # The fast side gets the plain, unsorted key: cycle_value canonicalizes.
-        start = dict(sorted(full.items())[::keep]) if keep else {}
+        # keep = 0 starts from an empty memo, which gets the key's λ-tail;
+        # otherwise from every keep-th entry of the tail, so some rows are held
+        # whole, some in part. The fast side gets the plain, unsorted key:
+        # cycle_value canonicalizes.
+        tail = reference_tail(k)
+        start = dict(sorted(tail.items())[::keep]) if keep else {}
         fast, reference = dict(start), dict(start)
         assert cycle_value((genus, lam, weights), fast) == expected
-        assert reference_evaluate(k, reference) == expected
+        assert reference_rows(k, reference) == expected
         assert_same_memos(fast, reference)
+        if not keep:
+            assert_same_memos(fast, tail)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=0, max_value=7),
+        st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=5),
+    )
+    @example(8, 0, [1])
+    @example(5, 5, [2, 2, 3])
+    def test_an_empty_memo_gets_the_union_of_the_tail(self, genus, lam, weights):
+        # What each key of the λ-tail reaches on its own, no state more or less.
+        k = canonical_key(genus, min(lam, genus), weights)
+        if k.exponent < 0:
+            return
+        fast = {}
+        cycle_value(k, fast)
+        union = {}
+        for i in range(k.lam, k.genus + 1):
+            alone = {}
+            reference_evaluate(CycleKey(k.genus, i, k.weights), alone)
+            union.update(alone)
+        assert_same_memos(fast, union)
+
+    def test_a_row_held_whole_is_read_and_one_held_in_part_is_checked(self):
+        # In a row that is evaluated, a held state must equal its value.
+        memo = {CycleKey(2, 1, (1, 1)): Fraction(1, 7)}
+        with pytest.raises(RuntimeError, match="memo cache rebound"):
+            cycle_value((2, 0, (1, 1)), memo)
+        # A row held whole is read as it is, wrong values and all.
+        memo = {CycleKey(1, 0, (2,)): Fraction(1, 7), CycleKey(1, 1, (2,)): 0}
+        expected = reference_rows(CycleKey(1, 0, (1, 1)), dict(memo))
+        assert cycle_value((1, 0, (1, 1)), memo) == expected
 
     @pytest.mark.parametrize(
         "layer", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (4, 4)]
@@ -411,6 +490,30 @@ class TestMemoPinAndReach:
         assert hashlib.sha256(body).hexdigest() == (
             "007271ec6c4224bd5a619063f2f37e4da8796fa1e8faa156d92b69dce3613718"
         )
+
+    def test_every_complete_row_of_the_table_12_memo_alternates_to_zero(self):
+        # For g >= 1 and any weights, the sum over the index of (-1)**index
+        # times the value is 0. Every table entry with g >= 1 lies in such a row.
+        cache = {}
+        hodge_table(12, cache)
+        rows = {}
+        for k, v in cache.items():
+            if k.genus >= 1:
+                rows.setdefault((k.genus, k.weights), {})[k.lam] = v
+        assert all(len(row) == genus + 1 for (genus, _), row in rows.items())
+        assert len(rows) == 4_464
+        assert sum(map(len, rows.values())) == 33_480
+        for row, values in rows.items():
+            assert sum((-1) ** lam * v for lam, v in values.items()) == 0, row
+
+    def test_a_query_fills_its_lambda_tail(self):
+        cache = {}
+        hodge_integral(8, 0, cache=cache)
+        assert len(cache) == 4_276
+        assert all(CycleKey(8, lam, (1,) * 9) in cache for lam in range(9))
+        cache = {}
+        cycle_value((3000, 3000, (2,)), cache)
+        assert len(cache) == 3_000
 
     def test_aux_nine_stays_at_total_nine_and_above(self, monkeypatch):
         monkeypatch.setattr(cutjoin, "_TRANSITIONS", {})
