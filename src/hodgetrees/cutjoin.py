@@ -33,8 +33,10 @@ Two loops, with no recursion and so no depth limit: the first takes rows in
 decreasing (genus, number of weights), after every row that reaches them,
 with the lowest index they need, and reads each row the memo holds whole; the
 second evaluates the others children first, each as one integer vector over
-one denominator, and adds the states the memo lacks. One it holds must equal
-its value, so threads may share a memo; one per thread is the intended use.
+one denominator, and adds the states the memo lacks; a row of one index reads
+its children from the memo, which holds them by then, as ``step_value`` does.
+A state the memo holds must equal its value, so threads may share a memo; one
+per thread is the intended use.
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ def cycle_value(
                     low[child_genus, child] = first
                     heappush(heap, (-child_genus, -len(child), child_genus, child))
     for genus, weights, lo in reversed(order):  # children first
-        values, numerators, denominator = _row(genus, weights, lo, genus, rows)
+        values, numerators, denominator = _row(genus, weights, lo, genus, rows, cache)
         rows[genus, weights] = lo, numerators, denominator
         for lam, value in enumerate(values, lo):
             state = CycleKey(genus, lam, weights)
@@ -229,12 +231,14 @@ def _transitions(weights: tuple[int, ...]) -> tuple[tuple, ...]:
     return entries
 
 
-def _row(genus: int, weights: tuple, low: int, high: int, rows: dict) -> tuple:
+def _row(
+    genus: int, weights: tuple, low: int, high: int, rows: dict, memo: Mapping
+) -> tuple:
     """A row's values at indices low..high: ``Fraction``s, numerators, denominator.
 
-    Each transition adds its coefficient times its child row's slice over the
-    lcm of the child denominators, a seed its closed form; one gcd reduces the
-    sum. One index with no seed is one lcm of integer pairs and one Fraction.
+    Each transition adds its coefficient times its child row's slice in ``rows``
+    over the lcm of the child denominators, a seed its closed form; one gcd
+    reduces the sum. One index with no seed reads its children from ``memo``.
     """
     top = min(high, 2 * genus + len(weights) - 3)
     scale = 12 * sum(weights) * (2 * genus + len(weights) - 1)
@@ -243,8 +247,8 @@ def _row(genus: int, weights: tuple, low: int, high: int, rows: dict) -> tuple:
         for dg, dl, children, coefficients in _transitions(weights):
             valid = 0 <= low + dl <= genus + dg
             for child, c in zip(children, coefficients) if valid else ():
-                start, numerators, d = rows[genus + dg, child]
-                pairs.append((c * numerators[low + dl - start], d))
+                n, d = memo[genus + dg, low + dl, child].as_integer_ratio()
+                pairs.append((c * n, d))
         common = math.lcm(*[d for _, d in pairs])
         numerator = sum([n * (common // d) if d != common else n for n, d in pairs])
         value = Fraction(numerator, common * scale)
@@ -273,8 +277,9 @@ def _row(genus: int, weights: tuple, low: int, high: int, rows: dict) -> tuple:
 def step_value(key: CycleKey, cache: Mapping[CycleKey, Fraction]) -> Fraction:
     """The value of ``key`` from one step over its children's values in ``cache``.
 
-    Vanishing keys give 0, seeds their closed form. The first child missing from
-    ``cache`` raises ``KeyError``, a negative psi exponent ``UndefinedExponentError``.
+    It is ``_row``'s one-index step, as ``cycle_value`` takes it. Vanishing keys
+    give 0, seeds their closed form. The first child missing from ``cache``
+    raises ``KeyError``, a negative psi exponent ``UndefinedExponentError``.
     """
     genus, lam, weights = key = CycleKey(*key)
     if not 0 <= lam <= genus:
@@ -283,12 +288,7 @@ def step_value(key: CycleKey, cache: Mapping[CycleKey, Fraction]) -> Fraction:
         raise UndefinedExponentError(
             f"undefined integrand exponent {key.exponent} for {key}"
         )
-    rows = {}
-    for dg, dl, children, _ in _transitions(weights) if key.exponent else ():
-        for child in children if 0 <= lam + dl <= genus + dg else ():
-            value = cache[genus + dg, lam + dl, child]
-            rows[genus + dg, child] = lam + dl, [value.numerator], value.denominator
-    return _row(genus, weights, lam, lam, rows)[0][0]
+    return _row(genus, weights, lam, lam, {}, cache)[0][0]
 
 
 def _check_key(genus: int, lam: int, weights: tuple, unsorted: bool) -> None:
@@ -416,18 +416,14 @@ def _hit(data: bytes, keys: Collection[CycleKey]) -> dict | None:
     """The entries of ``keys`` from a memo file whose header matches its body.
 
     Each key's line is found by its canonical text and checked by ``_entry``.
-    None if the header is missing or does not match, or a key's text is
-    absent, occurs twice or heads a line that breaks a rule.
+    None if a key's text is absent, occurs twice or heads a line breaking a rule.
     """
-    start = data.find(b"\n")  # the newline that ends the header
-    if start < 0 or data[: start + 1] != _header(data[start + 1 :]):
-        return None
     checked: dict[bytes, tuple[int, ...]] = {}
     memo = {}
     for genus, lam, weights in keys:
         try:
             text = f"\n{genus}\t{lam}\t{','.join(map(str, weights))}\t".encode()
-            at = data.find(text, start)
+            at = data.find(text)
             end = data.find(b"\n", at + 1)
             if at < 0 or end < 0 or data.find(text, end) >= 0:
                 return None
@@ -458,7 +454,9 @@ def load_cache(
     """
     with open(path, "rb") as handle:
         data = handle.read()
-    if keys is not None:
+    start = data.find(b"\n") + 1  # the body's first byte, after the header line
+    verified = keys is not None and data[:start] == _header(data[start:])
+    if verified:
         memo = _hit(data, keys)
         if memo is not None:
             return MappingProxyType(memo)
@@ -477,6 +475,6 @@ def load_cache(
                 raise ValueError("conflicting duplicate entry")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if keys is not None and headed and _hit(data, ()) is None:  # stale header
+    if keys is not None and headed and not verified:  # a stale header
         raise ValueError(f"{path}:1: header does not match the body")
     return {CycleKey(*key): Fraction(*value) for key, value in pairs.items()}

@@ -458,6 +458,36 @@ class TestMemoAudit:
             " rhs=missing child g=1,lambda=1,weights=[1,1,2]\n"
         )
 
+    @pytest.mark.parametrize("edited", [None, "1\t1\t3\t", "5\t5\t1,2,3\t"])
+    def test_memo_of_one_index_rows(self, capsys, tmp_path, edited):
+        # λ = g queries fill only λ = g rows, so every step the audit takes
+        # reads one index of each child, as cycle_value's one-index rows do.
+        memo = {}
+        for g in range(9):
+            for n in range(1, 9):
+                if (g, n) != (0, 1):
+                    cycle_value((g, g, (1,) * n), memo)
+        assert all(k.lam == k.genus for k in memo)
+        path = tmp_path / "memo.tsv"
+        save_cache(memo, path)
+        if edited is None:
+            code, out, _ = self.audit(capsys, tmp_path, path.read_text("ascii"))
+            assert code == 0
+            assert out == f"PASS memo range cache={path} instances={len(memo)}\n"
+            return
+        lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+        (at,) = [i for i, line in enumerate(lines) if line.startswith(edited)]
+        genus, lam, weights, value = lines[at].split()
+        lhs = format_rational(Fraction(value) + 1)
+        lines[at] = f"{edited}{lhs}\n"
+        code, out, _ = self.audit(capsys, tmp_path, "".join(lines), "--format", "json")
+        assert code == 1
+        assert json.loads(out)["counterexample"] == {
+            "params": f"g={genus},lambda={lam},weights=[{weights}]",
+            "lhs": lhs,
+            "rhs": value,
+        }
+
     @pytest.mark.parametrize(
         "line, rhs",
         [
