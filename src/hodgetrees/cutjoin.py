@@ -281,13 +281,10 @@ def step_value(key: CycleKey, cache: Mapping[CycleKey, Fraction]) -> Fraction:
     give 0, seeds their closed form. The first child missing from ``cache``
     raises ``KeyError``, a negative psi exponent ``UndefinedExponentError``.
     """
-    genus, lam, weights = key = CycleKey(*key)
+    genus, lam, weights = key
     if not 0 <= lam <= genus:
         return _ZERO
-    if key.exponent < 0:
-        raise UndefinedExponentError(
-            f"undefined integrand exponent {key.exponent} for {key}"
-        )
+    _check_key(genus, lam, weights, False)
     return _row(genus, weights, lam, lam, {}, cache)[0][0]
 
 
@@ -295,7 +292,7 @@ def _check_key(genus: int, lam: int, weights: tuple, unsorted: bool) -> None:
     """Raise the first rule of ``load_cache`` that a key breaks, if any.
 
     In order: genus >= 0, index in 0..genus, sorted weights (checked only if
-    ``unsorted``), psi exponent >= 0.
+    ``unsorted``), psi exponent >= 0 (``UndefinedExponentError``).
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
@@ -305,7 +302,7 @@ def _check_key(genus: int, lam: int, weights: tuple, unsorted: bool) -> None:
         raise ValueError("weights are not sorted")
     if 2 * genus + len(weights) - 2 < lam:
         k = CycleKey(genus, lam, weights)
-        raise ValueError(f"undefined integrand exponent {k.exponent} for {k}")
+        raise UndefinedExponentError(f"undefined integrand exponent {k.exponent} for {k}")
 
 
 # The first line of a nonempty memo file: format version, entries (body
@@ -355,6 +352,10 @@ def save_cache(cache: dict[CycleKey, Fraction], path: str | os.PathLike) -> None
                 handle.write(_header(body))
                 handle.write(body)
         os.replace(temporary, path)
+    except OSError as exc:  # name the memo, not the temporary file
+        if exc.filename == temporary:
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
+        raise
     finally:
         if os.path.exists(temporary):
             os.remove(temporary)

@@ -907,6 +907,15 @@ class TestKeyedLoad:
         assert path.read_bytes() == body
         assert os.listdir(tmp_path) == ["memo.tsv"]
 
+    def test_a_memo_in_a_missing_directory_exits_2_naming_the_memo(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *HITS[0], "--cache", "nodir/m.tsv")
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: 'nodir/m.tsv'\n"
+        assert os.listdir(tmp_path) == []
+
     def test_subset_memo_is_never_saved(self, capsys, tmp_path, monkeypatch):
         import hodgetrees.cli as cli
 

@@ -76,10 +76,10 @@ class TestSeedsAndConventions:
     def test_undefined_exponent_raises(self):
         # genus 0 with a single weight is the only index shape that is
         # neither a seed nor killed by the index convention
-        with pytest.raises(UndefinedExponentError):
-            value(0, 0, (5,))
-        with pytest.raises(UndefinedExponentError):
-            value(0, 0, (1,))
+        for weight in 5, 1:
+            with pytest.raises(UndefinedExponentError) as info:
+                value(0, 0, (weight,))
+            assert type(info.value) is UndefinedExponentError
 
 
 def seed_table(genus, lam, weights):
@@ -122,8 +122,10 @@ class TestExponentRule:
                 assert step_value(k, {}) == seed_table(*k), k
             elif k.exponent <= 0:
                 message = f"undefined integrand exponent {k.exponent} for {k}"
-                with pytest.raises(UndefinedExponentError, match=re.escape(message)):
+                match = re.escape(message)
+                with pytest.raises(UndefinedExponentError, match=match) as info:
                     step_value(k, {})
+                assert type(info.value) is UndefinedExponentError
                 undefined.append(k)
             elif k.weights == (1,):
                 assert step_value(k, {}) == 0, k  # a step with no children
@@ -649,15 +651,19 @@ class TestCachePersistence:
         save_cache(good, path)
         before = path.read_bytes()
         message = f"memo entry {entry} would not load: {reason}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}") as info:
             save_cache({**good, entry: Fraction(1, 2)}, path)
+        assert type(info.value) is ValueError  # not UndefinedExponentError
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["memo.tsv"]
         genus, lam, weights = entry
         line = f"{genus}\t{lam}\t{','.join(map(str, weights))}\t1/2\n"
         path.write_text(line)
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:1: ')}"):
-            load_cache(path)
+        match = f"^{re.escape(f'{path}:1: ')}"
+        for keys in None, [entry]:
+            with pytest.raises(ValueError, match=match) as info:
+                load_cache(path, keys)
+            assert type(info.value) is ValueError
 
     @pytest.mark.parametrize(
         "line",
@@ -742,6 +748,21 @@ class TestCachePersistence:
         assert path.read_bytes() == snapshot
         assert load_cache(path) == old
         assert [p.name for p in tmp_path.iterdir()] == ["memo.tsv"]
+
+    def test_failed_save_names_the_memo_not_its_temporary_file(self, tmp_path):
+        memo = {key(1, 1, (3,)): Fraction(1, 3)}
+        missing = tmp_path / "nodir" / "memo.tsv"
+        with pytest.raises(FileNotFoundError) as info:
+            save_cache(memo, missing)
+        message = f"[Errno 2] No such file or directory: {str(missing)!r}"
+        assert str(info.value) == message
+        directory = tmp_path / "memo"
+        directory.mkdir()
+        with pytest.raises(IsADirectoryError) as info:  # from os.replace
+            save_cache(memo, directory)
+        assert str(info.value) == f"[Errno 21] Is a directory: {str(directory)!r}"
+        assert [p.name for p in tmp_path.iterdir()] == ["memo"]
+        assert list(directory.iterdir()) == []
 
     def test_keyed_load_equals_full_load(self, tmp_path):
         memo = {}
