@@ -36,7 +36,7 @@ from itertools import islice
 from operator import ge, itemgetter
 
 from .cutjoin import canonical_key, cycle_value, load_cache, save_cache
-from .exact_arith import bernoulli, format_rational
+from .exact_arith import _ARGUMENT, bernoulli, format_rational
 from .hodge import hodge_integral, hodge_table, integral_keys
 
 __all__ = ["main"]
@@ -49,7 +49,7 @@ _TREE_NAMES += ("canonical_encoding", "enumerate_trees", "tree_weight")
 
 def __getattr__(name: str):
     if name not in _TREE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        raise AttributeError(f"module 'hodgetrees.cli' has no attribute {name!r}")
     from . import trees
     for tree_name in _TREE_NAMES:  # a name bound already, as by a wrapper, stays
         globals().setdefault(tree_name, getattr(trees, tree_name))
@@ -88,17 +88,15 @@ CHECKS: dict[str, tuple[str, str | None, str | None]] = {
 
 
 def _integer(text: str, low: int | None = None, error: str = "") -> int:
-    """The integer ``text`` canonically spells, if >= ``low``; else ``error`` or int's.
+    """The integer ``text`` spells, if ``_ARGUMENT`` matches it and it is >= ``low``.
 
-    int() alone also takes " 1", "0_1", "01" and "-0"; a value above 0 may keep
-    the "+" sign that the CLI has always taken.
+    Else ``error``, or int's. int() alone also takes " 1", "0_1", "01" and "-0".
     """
     try:
-        value = int(text)
-    except ValueError:  # not an integer, or past int()'s digit limit
+        value = int(text) if _ARGUMENT.fullmatch(text) else None
+    except ValueError:  # past int()'s digit limit
         value = None
-    bare = text[1:] if value is not None and value > 0 and text[:1] == "+" else text
-    if value is None or bare != str(value) or low is not None and value < low:
+    if value is None or low is not None and value < low:
         raise argparse.ArgumentTypeError(error or f"invalid int value: {text!r}")
     return value
 
@@ -332,7 +330,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -171,7 +171,7 @@ def cycle_value(
     if key in cache:
         return cache[key]
     if key.exponent < 0:
-        return step_value(key, cache)  # raises UndefinedExponentError
+        _check_key(*key, False)  # raises UndefinedExponentError
     low = {key[::2]: key.lam}  # row (genus, weights) -> lowest index it needs
     heap = [(-key.genus, -len(key.weights), *key[::2])]
     order, rows = [], {}  # rows to evaluate; row -> (low, numerators, denominator)
@@ -291,9 +291,12 @@ def step_value(key: CycleKey, cache: Mapping[CycleKey, Fraction]) -> Fraction:
 def _check_key(genus: int, lam: int, weights: tuple, unsorted: bool) -> None:
     """Raise the first rule of ``load_cache`` that a key breaks, if any.
 
-    In order: genus >= 0, index in 0..genus, sorted weights (checked only if
-    ``unsorted``), psi exponent >= 0 (``UndefinedExponentError``).
+    In order: nonempty positive weights, genus >= 0, index in 0..genus, sorted
+    weights (both weights rules only if ``unsorted``; ``_LINE`` admits only
+    positive weights), psi exponent >= 0 (``UndefinedExponentError``).
     """
+    if unsorted and not (weights and weights[0] > 0):
+        raise ValueError("weights must be nonempty and positive")
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     if not 0 <= lam <= genus:
@@ -336,8 +339,6 @@ def save_cache(cache: dict[CycleKey, Fraction], path: str | os.PathLike) -> None
         genus, lam, weights = key
         text = texts.get(weights)
         try:
-            if text is None and not (weights and weights[0] > 0):
-                raise ValueError("weights must be nonempty and positive")
             _check_key(genus, lam, weights, text is None)
         except ValueError as exc:
             raise ValueError(f"memo entry {key} would not load: {exc}") from None

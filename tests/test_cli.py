@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -11,9 +12,11 @@ from pathlib import Path
 from types import MappingProxyType
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hodgetrees
-from hodgetrees.cli import _BLOCK_ROWS, main
+from hodgetrees.cli import _BLOCK_ROWS, _integer, main
 from hodgetrees.cutjoin import (
     canonical_key,
     cycle_value,
@@ -1067,6 +1070,22 @@ class TestImportsStayLazy:
             hodgetrees.verify_all
 
 
+# Signs, "_", space, newline, digits, an Arabic-Indic three and a fullwidth one:
+# int() takes texts with each of them that are not canonical integers.
+INTEGER_ALPHABET = "+-_ 019\n٣１"
+
+
+def round_trip_integer(text):
+    """The value ``text`` spells by int() if str() of it gives ``text`` back, a
+    "+" allowed before a positive value; None if int() refuses it or not."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    bare = text[1:] if value > 0 and text[:1] == "+" else text
+    return value if bare == str(value) else None
+
+
 class TestErrorPaths:
     def test_oversized_enumeration_refused(self, capsys, monkeypatch):
         import hodgetrees.cli as cli
@@ -1195,6 +1214,35 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert excinfo.value.code == 2 and captured.out == ""
         assert captured.err.endswith(f": {message}\n")
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.text(INTEGER_ALPHABET, max_size=6),
+            st.builds(
+                lambda head, n, tail: head + "9" * n + tail,
+                st.text(INTEGER_ALPHABET, max_size=2),
+                st.integers(4290, 4310),
+                st.text(INTEGER_ALPHABET, max_size=2),
+            ),
+        )
+    )
+    @example("+1")
+    @example("+0")
+    @example("+-1")
+    @example("-0")
+    @example("1\n")
+    @example("٣")
+    @example("9" * 4300)
+    @example("+" + "9" * 4300)
+    @example("-" + "9" * 4300)
+    @example("9" * 4301)
+    def test_integer_rule_is_the_int_round_trip(self, text):
+        try:
+            value = _integer(text)
+        except argparse.ArgumentTypeError:
+            value = None
+        assert value == round_trip_integer(text)
 
     def test_out_of_range_lambda(self, capsys):
         code, _, err = run(capsys, "integral", "--g", "1", "--lambda", "2")

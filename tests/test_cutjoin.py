@@ -81,6 +81,18 @@ class TestSeedsAndConventions:
                 value(0, 0, (weight,))
             assert type(info.value) is UndefinedExponentError
 
+    def test_undefined_exponent_is_raised_without_a_step(self, monkeypatch):
+        def step_value(*args):
+            raise AssertionError("cycle_value took a step")
+
+        monkeypatch.setattr(cutjoin, "step_value", step_value)
+        with pytest.raises(UndefinedExponentError) as info:
+            cutjoin.cycle_value((0, 0, (5,)))
+        assert type(info.value) is UndefinedExponentError
+        assert str(info.value) == (
+            "undefined integrand exponent -1 for CycleKey(genus=0, lam=0, weights=(5,))"
+        )
+
 
 def seed_table(genus, lam, weights):
     """The seed closed forms as a table of index shapes: a value, or None."""
@@ -642,6 +654,7 @@ class TestCachePersistence:
             (CycleKey(1, 1, (2, 1)), "weights are not sorted"),
             (CycleKey(1, 1, (0, 2)), "weights must be nonempty and positive"),
             (CycleKey(1, 1, ()), "weights must be nonempty and positive"),
+            (CycleKey(-1, 0, (0,)), "weights must be nonempty and positive"),
             (CycleKey(0, 0, (5,)), "undefined integrand exponent -1"),
         ],
     )

@@ -205,6 +205,30 @@ class TestSeries:
         assert s * 2 == series([2, 4, 6], 3)
         assert s * Fraction(1, 2) == series([Fraction(1, 2), 1, Fraction(3, 2)], 3)
 
+    def test_order_bound_defaults_to_the_coefficient_count(self):
+        assert TruncatedSeries([1, 2, 3]).order_bound == 3
+
+    def test_coefficients_past_the_order_bound_are_dropped(self):
+        s = TruncatedSeries([1, 2, 3], 2)
+        assert s.coefficients == (1, 2) and s == series([1, 2], 2)
+
+    def test_equal_series_hash_alike(self):
+        assert hash(series([1, 2], 3)) == hash(series([1, 2, 0], 3))
+        assert len({series([1], 2), series([1, 0], 2), series([1], 3)}) == 2
+
+    def test_repr(self):
+        s = series([1, Fraction(-1, 2)], 3)
+        assert repr(s) == "TruncatedSeries([1, -1/2, 0], order_bound=3)"
+
+    def test_equality_with_a_non_series_is_false(self):
+        assert (series([1], 1) == 1) is False
+        assert series([1], 1) != "1"
+
+    @pytest.mark.parametrize("other", ["x", 0.5, None])
+    def test_product_with_another_type_refused(self, other):
+        with pytest.raises(TypeError):
+            series([1, 2], 2) * other
+
     @pytest.mark.parametrize("value", [0.1, 1.0, Decimal("0.1"), "1/3", None])
     def test_inexact_coefficients_refused(self, value):
         with pytest.raises(TypeError, match="int or Fraction"):
