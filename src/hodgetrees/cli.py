@@ -14,8 +14,10 @@ entries, read-only, and writes nothing. A miss, or a file without a header,
 checks every line and is written back with a matching header. A header
 that does not match its body is refused; ``verify --check memo --cache
 FILE`` names a wrong entry. A single check refuses a ``--max-g`` or
-``--max-n`` it does not take. Only the handlers that use ``verify``,
-``json`` or the tree pipeline import them.
+``--max-n`` it does not take. A command imports only the modules it runs:
+the tree commands load no recursion code, the value commands and ``table``
+no tree code, and only the handlers that use ``verify`` or ``json`` import
+them.
 Exit codes: 0 on success or all checks passing, 1 on a verification
 failure, 2 on a usage error (refused input, such as ``trees enumerate`` past
 ``ENUMERATION_LIMIT`` trees, a ``--max-g`` of ``table`` or ``verify --check
@@ -35,29 +37,38 @@ from fractions import Fraction
 from itertools import islice
 from operator import ge, itemgetter
 
-from .cutjoin import canonical_key, cycle_value, load_cache, save_cache
 from .exact_arith import _ARGUMENT, bernoulli, format_rational
-from .hodge import hodge_integral, hodge_table, integral_keys
 
 __all__ = ["main"]
 
-# Tree functions, bound here on first use (PEP 562): integral, w and table never
-# import the tree pipeline. bench/tracer.py wraps the last three, uncalled here.
-_TREE_NAMES = ("count_trees", "tree_sum", "weighted_encodings")
+# Pipeline functions, bound here on first use (PEP 562) with the rest of their
+# module's names: tree commands never import cutjoin or hodge, and integral, w
+# and table never import trees. bench/tracer.py wraps the last three tree
+# names, uncalled here.
+_TREE_NAMES = ("count_trees", "tree_sum", "weight_scale", "weighted_encodings")
 _TREE_NAMES += ("canonical_encoding", "enumerate_trees", "tree_weight")
+_LAZY_NAMES = {
+    "cutjoin": ("canonical_key", "cycle_value", "load_cache", "save_cache"),
+    "hodge": ("hodge_integral", "hodge_table", "integral_keys"),
+    "trees": _TREE_NAMES,
+}
+_HOMES = {name: module for module, names in _LAZY_NAMES.items() for name in names}
 
 
 def __getattr__(name: str):
-    if name not in _TREE_NAMES:
+    if name not in _HOMES:
         raise AttributeError(f"module 'hodgetrees.cli' has no attribute {name!r}")
-    from . import trees
-    for tree_name in _TREE_NAMES:  # a name bound already, as by a wrapper, stays
-        globals().setdefault(tree_name, getattr(trees, tree_name))
+    from importlib import import_module
+
+    home = _HOMES[name]
+    module = import_module(f".{home}", __package__)
+    for lazy in _LAZY_NAMES[home]:  # a name bound already, as by a wrapper, stays
+        globals().setdefault(lazy, getattr(module, lazy))
     return globals()[name]
 
 
-# trees enumerate holds every tree's encoding and weight, about 0.28 KB each.
-# (0, 8), 1,587,600 trees, peaked at 447 MiB as text and as JSON (Python
+# trees enumerate holds every tree's encoding and scaled weight, about 0.25 KB
+# each. (0, 8), 1,587,600 trees, peaked at 374 MiB as text and as JSON (Python
 # 3.11.7, written in blocks; the same as one write per row). This admits
 # (0, 8) and refuses (2, 7) with 3,016,440 trees.
 ENUMERATION_LIMIT = 2_000_000
@@ -131,22 +142,22 @@ def _with_cache(args, keys, compute) -> Fraction:
     if args.cache == "":
         raise ValueError("--cache needs a file name, not ''")
     exists = bool(args.cache) and os.path.exists(args.cache)
-    cache = load_cache(args.cache, keys) if exists else {}
+    cache = __getattr__("load_cache")(args.cache, keys) if exists else {}
     value = compute(cache)
     if args.cache and type(cache) is dict:
-        save_cache(cache, args.cache)
+        __getattr__("save_cache")(cache, args.cache)
     return value
 
 
 def _integral(args) -> Fraction:
-    keys = integral_keys(args.g, args.lam, args.weights)
+    keys = __getattr__("integral_keys")(args.g, args.lam, args.weights)  # binds hodge
     return _with_cache(
         args, keys, lambda cache: hodge_integral(args.g, args.lam, args.weights, cache)
     )
 
 
 def _cycle(args) -> Fraction:
-    key = canonical_key(args.g, args.lam, args.weights)
+    key = __getattr__("canonical_key")(args.g, args.lam, args.weights)  # binds cutjoin
     keys = [key] if 0 <= key.lam <= key.genus else []  # else the value is 0
     return _with_cache(args, keys, lambda cache: cycle_value(key, cache))
 
@@ -187,25 +198,28 @@ def _run_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _weight_texts(rows, count: int, total: Fraction) -> dict[tuple[int, int], str]:
+def _weight_texts(rows, count: int, total: Fraction, scale: int) -> dict[int, str]:
     """Text of each distinct weight, once the listing has checked out whole.
 
     No tree is validated on its own. The listing must have ``count`` rows,
-    strictly increasing encodings (so no tree twice) and positive weights
-    adding up exactly to ``total``; anything else is an internal error.
+    strictly increasing encodings (so no tree twice) and positive scaled
+    weights adding up exactly to ``total * scale``; anything else is an
+    internal error. All of it is integer work until each distinct weight is
+    formatted once, as its scaled value over ``scale``.
     """
     if len(rows) != count:
         raise RuntimeError(f"tree listing has {len(rows)} rows, expected {count}")
-    encodings = [row[0] for row in rows]
+    encodings = list(map(itemgetter(0), rows))
     if any(map(ge, encodings, islice(encodings, 1, None))):
         raise RuntimeError("tree listing is not strictly increasing by encoding")
-    weights = Counter(map(itemgetter(1, 2), rows))
-    if any(numer <= 0 or denom <= 0 for numer, denom in weights):
+    weights = Counter(map(itemgetter(1), rows))
+    if any(scaled <= 0 for scaled in weights):
         raise RuntimeError("tree listing has a weight that is not positive")
-    listed = sum(k * Fraction(numer, denom) for (numer, denom), k in weights.items())
-    if listed != total:
+    listed = sum(k * scaled for scaled, k in weights.items())
+    if listed != total * scale:
+        listed = Fraction(listed, scale)
         raise RuntimeError(f"tree weights add up to {listed}, expected {total}")
-    return {pair: format_rational(Fraction(*pair)) for pair in weights}
+    return {scaled: format_rational(Fraction(scaled, scale)) for scaled in weights}
 
 
 def _run_enumerate(args) -> int:
@@ -217,7 +231,7 @@ def _run_enumerate(args) -> int:
         )
     rows = weighted_encodings(args.g, args.n)
     total = tree_sum(args.g, args.n)
-    texts = _weight_texts(rows, count, total)
+    texts = _weight_texts(rows, count, total, weight_scale(args.g, args.n))
     if args.format == "json":
         # The bytes json.dumps gives, a block of rows at a time: encodings use
         # only LUB0-9(), and weights only -0-9/, which JSON strings hold as is.
@@ -229,10 +243,10 @@ def _run_enumerate(args) -> int:
     else:
         print(f"count {count}")
         head, tail, sep = "", "\t{}\n", ""
-    tails = {pair: tail.format(text) for pair, text in texts.items()}
+    tails = {scaled: tail.format(text) for scaled, text in texts.items()}
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]
-        text = sep.join([head + e + tails[p, q] for e, p, q in block])
+        text = sep.join([head + e + tails[w] for e, w in block])
         sys.stdout.write(sep + text if start else text)
     if args.format == "json":
         print("]}")
@@ -251,7 +265,7 @@ def _run_table(args) -> int:
     columns = ("g", "i", "psi_power", "integral")
     rows = [
         (g, i, 3 * g - 2 - i, format_rational(value))
-        for g, i, value in hodge_table(args.max_g)
+        for g, i, value in __getattr__("hodge_table")(args.max_g)
     ]
     if args.format == "json":
         import json

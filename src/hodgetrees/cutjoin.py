@@ -50,9 +50,15 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from operator import mul
 from types import MappingProxyType
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
-from .exact_arith import _INTEGER, _long_int, format_rational, parse_rational
+from .exact_arith import (
+    _INTEGER,
+    _long_int,
+    _multiset_joins,
+    format_rational,
+    parse_rational,
+)
 
 __all__ = [
     "CycleKey",
@@ -95,24 +101,6 @@ def canonical_key(genus: int, lam: int, weights: Iterable[int]) -> CycleKey:
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     return CycleKey(genus, lam, ws)
-
-
-def _multiset_joins(items: tuple[int, ...], counts: Counter) -> Iterator[tuple]:
-    """Each distinct way to replace two entries of a sorted tuple by their sum.
-
-    ``counts`` is ``Counter(items)``. Yields the number of position pairs
-    that make the join, the sum, and the sorted tuple after the join.
-    """
-    distinct = sorted(counts)
-    for position, a in enumerate(distinct):
-        m = counts[a]
-        for b in distinct[position:]:
-            pairs = m * (m - 1) // 2 if a == b else m * counts[b]
-            if pairs:
-                merged = list(items)
-                merged.remove(a)
-                merged.remove(b)
-                yield pairs, a + b, tuple(sorted(merged + [a + b]))
 
 
 def recursion_terms(key: CycleKey) -> list[tuple[Fraction, CycleKey]]:

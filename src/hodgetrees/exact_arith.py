@@ -10,7 +10,8 @@ products, reciprocals and logarithms add up ``Fraction`` terms one
 coefficient at a time. Only the oracle's ``sine_kernel``, the tests'
 reference, builds a series; ``gf_expand`` uses none of them. Bernoulli
 numbers come from integer zigzag numbers, with one ``Fraction`` per table
-entry.
+entry. ``_multiset_joins`` is the one multiset helper the recursion's joins
+and the tree aggregate share, so neither pipeline loads the other.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from __future__ import annotations
 import math
 import re
 import threading
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
+from typing import Iterator
 
 __all__ = [
     "format_rational",
@@ -81,6 +84,24 @@ def parse_rational(text: str) -> Fraction:
     if slash and (q == 1 or math.gcd(p, q) != 1):
         raise ValueError(f"rational not in lowest terms: {text!r}")
     return Fraction(p, q)
+
+
+def _multiset_joins(items: tuple[int, ...], counts: Counter) -> Iterator[tuple]:
+    """Each distinct way to replace two entries of a sorted tuple by their sum.
+
+    ``counts`` is ``Counter(items)``. Yields the number of position pairs
+    that make the join, the sum, and the sorted tuple after the join.
+    """
+    distinct = sorted(counts)
+    for position, a in enumerate(distinct):
+        m = counts[a]
+        for b in distinct[position:]:
+            pairs = m * (m - 1) // 2 if a == b else m * counts[b]
+            if pairs:
+                merged = list(items)
+                merged.remove(a)
+                merged.remove(b)
+                yield pairs, a + b, tuple(sorted(merged + [a + b]))
 
 
 class TruncatedSeries:

@@ -31,6 +31,8 @@ aggregation is an exact regrouping of the per-tree sum. The aggregate is
 one forward pass over those states, in layers of equal step counter, with
 integer sums: a state's partial weight is scaled by 12**(caps made) *
 top!/step!, which clears every step denominator. It has no depth limit.
+The listing carries each tree's weight the same way, as one integer over
+``weight_scale``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from math import factorial
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Union
 
-from .cutjoin import _multiset_joins
+from .exact_arith import _multiset_joins
 
 __all__ = [
     "Leaf",
@@ -55,6 +57,7 @@ __all__ = [
     "tree_sum",
     "tree_weight",
     "validate_tree",
+    "weight_scale",
     "weighted_encodings",
 ]
 
@@ -170,35 +173,38 @@ def enumerate_trees(genus: int, leaves: int) -> list[DecoratedTree]:
     return [t for _, t in found]
 
 
-def weighted_encodings(genus: int, leaves: int) -> list[tuple[str, int, int]]:
-    """(encoding, numerator, denominator) of each tree's weight, by encoding.
+def weighted_encodings(genus: int, leaves: int) -> list[tuple[str, int]]:
+    """(encoding, scaled weight) of each tree, by encoding.
 
-    The walk of ``iter_encoded_trees`` without tree objects: a root is its
-    encoding and leaf count, and a history on the stack carries
-    its weight's numerator and denominator, unreduced. No tree is validated.
+    The scaled weight is the tree's weight times ``weight_scale``, an
+    integer: the product of a + b over its joins of a + b leaves and of
+    (m**3 - m) * (s - 1) over its caps of m leaves at step s, as labels and
+    skipped slots fill 1..top. The walk of ``iter_encoded_trees`` without
+    tree objects: a root is its encoding and leaf count, and a history on
+    the stack carries its scaled weight. No tree is validated.
     """
     _check_parameters(genus, leaves)
-    rows: list[tuple[str, int, int]] = []
+    rows: list[tuple[str, int]] = []
     start = [(f"L{i}", 1) for i in range(1, leaves + 1)]
-    stack = [(start, 2 * genus + leaves - 1, genus, 1, leaves ** (leaves + genus - 1))]
+    stack = [(start, 2 * genus + leaves - 1, genus, 1)]
     # step == len(roots) - 1 + 2 * budget throughout, so the last steps are
     # finished in place: at step 1 two roots and no caps are left (one join),
     # and at step 2 either three roots and no caps (two joins, three ways) or
     # one root of all the leaves and one cap, made only if it has two leaves.
     while stack:
-        roots, step, budget, numer, denom = stack.pop()
+        roots, step, budget, scaled = stack.pop()
         if step <= 2:
             if step == 0:
-                rows.append((roots[0][0], numer, denom))
+                rows.append((roots[0][0], scaled))
             elif step == 1:
                 (enc_i, size_i), (enc_j, size_j) = roots
                 if enc_j < enc_i:
                     enc_i, enc_j = enc_j, enc_i
-                rows.append((f"B1({enc_i},{enc_j})", numer * (size_i + size_j), denom))
+                rows.append((f"B1({enc_i},{enc_j})", scaled * (size_i + size_j)))
             elif budget:
                 if leaves >= 2:
                     cap = leaves * leaves * leaves - leaves
-                    rows.append((f"U2({roots[0][0]})", numer * cap, denom * 24))
+                    rows.append((f"U2({roots[0][0]})", scaled * cap))
             else:
                 a, b, c = roots
                 for (enc_i, size_i), (enc_j, size_j), (enc_k, _) in (
@@ -213,7 +219,7 @@ def weighted_encodings(genus: int, leaves: int) -> list[tuple[str, int, int]]:
                         joined = f"B1({enc_k},{joined})"
                     else:
                         joined = f"B1({joined},{enc_k})"
-                    rows.append((joined, numer * (size_i + size_j) * leaves, denom * 2))
+                    rows.append((joined, scaled * (size_i + size_j) * leaves))
             continue
         for i, (enc_i, size_i) in enumerate(roots):
             for j in range(i + 1, len(roots)):
@@ -225,12 +231,12 @@ def weighted_encodings(genus: int, leaves: int) -> list[tuple[str, int, int]]:
                     rest[i] = (f"B{step}({enc_i},{enc_j})", size)
                 else:
                     rest[i] = (f"B{step}({enc_j},{enc_i})", size)
-                stack.append((rest, step - 1, budget, numer * size, denom * step))
+                stack.append((rest, step - 1, budget, scaled * size))
             if budget > 0 and size_i >= 2:
                 rest = roots.copy()
                 rest[i] = (f"U{step}({enc_i})", size_i)
-                cap = size_i * size_i * size_i - size_i
-                stack.append((rest, step - 2, budget - 1, numer * cap, denom * 12 * step))
+                cap = (size_i * size_i * size_i - size_i) * (step - 1)
+                stack.append((rest, step - 2, budget - 1, scaled * cap))
 
     rows.sort(key=itemgetter(0))
     return rows
@@ -274,11 +280,19 @@ def count_trees(genus: int, leaves: int) -> int:
     return _aggregate(genus, leaves)[0]
 
 
+def weight_scale(genus: int, leaves: int) -> int:
+    """12**genus * top! * leaves**(leaves + genus - 1), the weights' one scale.
+
+    Times any (genus, leaves) tree's weight it gives an integer, which
+    ``weighted_encodings`` lists; ``tree_sum`` divides the aggregate by it.
+    """
+    top = 2 * genus + leaves - 1
+    return 12**genus * factorial(top) * leaves ** (leaves + genus - 1)
+
+
 def tree_sum(genus: int, leaves: int) -> Fraction:
     """Exact sum of tree weights over all (genus, leaves) decorated trees."""
-    scaled = _aggregate(genus, leaves)[1]
-    top = 2 * genus + leaves - 1
-    return Fraction(scaled, 12**genus * factorial(top) * leaves ** (leaves + genus - 1))
+    return Fraction(_aggregate(genus, leaves)[1], weight_scale(genus, leaves))
 
 
 def _inspect(tree: DecoratedTree) -> tuple[str | None, Fraction | None, str]:

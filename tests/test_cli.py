@@ -237,19 +237,19 @@ def _last_pair_repeated(rows):
 
 
 def _last_weight_negated(rows):
-    (e, p, q) = rows[-1]
-    return rows[:-1] + [(e, -p, q)]
+    (e, w) = rows[-1]
+    return rows[:-1] + [(e, -w)]
 
 
 def _one_weight_negated(rows):
     # same count, encodings and total: w0, w1 become -w0, w1 + 2 w0
-    (e0, p0, q0), (e1, p1, q1) = rows[:2]
-    return [(e0, -p0, q0), (e1, p1 * q0 + 2 * p0 * q1, q1 * q0)] + rows[2:]
+    (e0, w0), (e1, w1) = rows[:2]
+    return [(e0, -w0), (e1, w1 + 2 * w0)] + rows[2:]
 
 
 def _one_weight_changed(rows):
-    (e0, p0, q0) = rows[0]
-    return [(e0, 2 * p0, q0)] + rows[1:]
+    (e0, w0) = rows[0]
+    return [(e0, 2 * w0)] + rows[1:]
 
 
 class TestSelfCheckedEnumeration:
@@ -985,6 +985,19 @@ class TestImportsStayLazy:
         for args in runs:
             code = f"from hodgetrees.cli import main; main({args!r})"
             assert self.new_modules(code, ["hodgetrees.trees"]) == "[]\n", args
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trees", "enumerate", "--g", "2", "--n", "3"],
+            ["trees", "enumerate", "--g", "2", "--n", "3", "--format", "json"],
+            ["trees", "sum", "--g", "2", "--n", "3"],
+        ],
+    )
+    def test_tree_commands_skip_the_recursion(self, argv):
+        code = f"from hodgetrees.cli import main; main({argv!r})"
+        watched = "hodgetrees.cutjoin", "hodgetrees.hodge"
+        assert self.new_modules(code, watched) == "[]\n"
 
     @pytest.mark.parametrize(
         "argv, digest",

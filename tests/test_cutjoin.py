@@ -188,6 +188,17 @@ class TestKnownValues:
     def test_index_zero_single_weight_matches_closed_form(self, a):
         assert value(1, 0, (a,)) == Fraction(a * a - 1, 24)
 
+    def test_genus_one_weight_pairs_match_closed_form(self):
+        # (a**2 + b**2 - 1)/24 at g = 1 for weights a + b = N, 40 <= N <= 60,
+        # at both indices: 1,040 keys whose joins reach weights of 40 and more.
+        cache = {}
+        for lam in (0, 1):
+            for total in range(40, 61):
+                for a in range(1, total // 2 + 1):
+                    b = total - a
+                    expected = Fraction(a * a + b * b - 1, 24)
+                    assert value(1, lam, (a, b), cache) == expected, (lam, a, b)
+
 
 class TestRecursionTerms:
     def test_join_and_handle(self):

@@ -68,6 +68,18 @@ class TestIntegrals:
     def test_known_values(self, genus, lam, expected):
         assert hodge_integral(genus, lam) == expected
 
+    @pytest.mark.parametrize(
+        "genus, bernoulli_2g",
+        [(13, Fraction(8553103, 6)), (14, Fraction(-23749461029, 870))],
+    )
+    def test_top_lambda_bernoulli_form(self, genus, bernoulli_2g):
+        # g! times the integral of psi**(2g-2) lambda_g is
+        # (2**(2g-1) - 1) g! |B_2g| / (2**(2g-1) (2g)!), past C(g, j) of g = 12.
+        half = 2 ** (2 * genus - 1)
+        g_factorial = math.factorial(genus)
+        closed = Fraction((half - 1) * g_factorial, half * math.factorial(2 * genus))
+        assert g_factorial * hodge_integral(genus, genus) == closed * abs(bernoulli_2g)
+
     def test_choice_independence_samples(self):
         for aux in [(1,), (2,), (3,), (1, 1), (2, 3)]:
             assert hodge_integral(2, 1, aux) == Fraction(1, 480)

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from hodgetrees.cutjoin import _multiset_joins, canonical_key, cycle_value
+from hodgetrees.cutjoin import canonical_key, cycle_value
+from hodgetrees.exact_arith import _multiset_joins
 from hodgetrees.trees import (
     Binary,
     Leaf,
@@ -19,6 +20,7 @@ from hodgetrees.trees import (
     tree_sum,
     tree_weight,
     validate_tree,
+    weight_scale,
     weighted_encodings,
 )
 
@@ -210,6 +212,11 @@ class TestSums:
         for n in range(1, 10):
             assert tree_sum(0, n) == 1
 
+    @pytest.mark.parametrize("leaves", range(17, 25))
+    def test_genus_one_sums_past_sixteen_leaves(self, leaves):
+        # (n - 1)/24 at g = 1: the histories cap a root of 17 leaves and more.
+        assert tree_sum(1, leaves) == Fraction(leaves - 1, 24)
+
     def test_aggregation_matches_enumeration(self):
         # the aggregated sum must equal the literal sum of tree weights
         # wherever full enumeration is feasible
@@ -308,23 +315,27 @@ class TestWeightedEncodings:
         two_joins = caps = first_below_b2 = 0
         for genus, leaves in cases + [(4, 5)]:
             rows = weighted_encodings(genus, leaves)
-            assert [(e, Fraction(p, q)) for e, p, q in rows] == [
+            scale = weight_scale(genus, leaves)
+            assert [(e, Fraction(w, scale)) for e, w in rows] == [
                 (canonical_encoding(t), tree_weight(t))
                 for t in enumerate_trees(genus, leaves)
             ], (genus, leaves)
-            two_joins += sum("B2(" in e for e, _, _ in rows)
-            caps += sum(e.startswith("U2(") for e, _, _ in rows)
+            two_joins += sum("B2(" in e for e, _ in rows)
+            caps += sum(e.startswith("U2(") for e, _ in rows)
             first_below_b2 += sum(
-                e.startswith("B1(B1") and ",B2(" in e for e, _, _ in rows
+                e.startswith("B1(B1") and ",B2(" in e for e, _ in rows
             )
         assert two_joins and caps and first_below_b2
 
     def test_unit_pair_tree(self):
+        # The scale is 12 * 3! * 2**2 = 288. The join of the two leaves gives 2
+        # and their cap at step 2 gives (2**3 - 2) * (2 - 1) = 6: 12 = 288/24.
         (row,) = weighted_encodings(1, 2)
-        assert row[0] == "U2(B3(L1,L2))" and Fraction(row[1], row[2]) == Fraction(1, 24)
+        assert weight_scale(1, 2) == 288 and row == ("U2(B3(L1,L2))", 12)
+        assert Fraction(row[1], weight_scale(1, 2)) == Fraction(1, 24)
 
     def test_single_leaf_and_empty(self):
-        assert weighted_encodings(0, 1) == [("L1", 1, 1)]
+        assert weighted_encodings(0, 1) == [("L1", 1)]
         assert weighted_encodings(2, 1) == []
 
     @pytest.mark.parametrize("genus, leaves", [(-1, 2), (1, 0)])
