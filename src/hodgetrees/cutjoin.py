@@ -29,14 +29,14 @@ every layer. So evaluation works on rows: a genus and weights, over indices
 from a lowest one up to the genus. Joins and handle removals keep genus minus
 index, a split lowers it by one, so a call at (g, i, a) fills its key's λ-tail
 (g, i'', a), i'' = i..g, and on an empty memo exactly the states those reach.
-Two loops, with no recursion and so no depth limit: the first takes rows in
-decreasing (genus, number of weights), after every row that reaches them,
-with the lowest index they need, and reads each row the memo holds whole; the
-second evaluates the others children first, each as one integer vector over
-one denominator, and adds the states the memo lacks; a row of one index reads
-its children from the memo, which holds them by then, as ``step_value`` does.
-A state the memo holds must equal its value, so threads may share a memo; one
-per thread is the intended use.
+Two loops, with no recursion and so no depth limit. The first takes rows in
+decreasing (genus, number of weights), which every rewrite lowers, so each is
+queued once and taken after every row that reaches it, with the lowest index
+they need; it reads each row the memo holds whole. The second evaluates the
+others children first, each as one integer vector over one denominator, and
+adds the states the memo lacks; a row of one index reads its children from the
+memo, which holds them by then, as ``step_value`` does. A held state must equal
+its value, so threads may share a memo; one per thread is the intended use.
 """
 
 from __future__ import annotations
@@ -164,10 +164,8 @@ def cycle_value(
     heap = [(-key.genus, -len(key.weights), *key[::2])]
     order, rows = [], {}  # rows to evaluate; row -> (low, numerators, denominator)
     while heap:
-        _, _, genus, weights = row = heappop(heap)
-        if heap and heap[0] == row:  # pushed again when its lowest index fell
-            continue
-        lo = low[genus, weights]
+        _, _, genus, weights = heappop(heap)
+        lo = low[genus, weights]  # final: each row that reaches it was popped first
         if (genus, lo, weights) in cache:  # if held whole: read, not expanded
             values = [cache.get((genus, lam, weights)) for lam in range(lo, genus + 1)]
             if all(value is not None for value in values):
@@ -180,9 +178,10 @@ def cycle_value(
         for dg, dl, children, _ in _transitions(weights) if lo <= top else ():
             first, child_genus = max(lo + dl, 0), genus + dg
             for child in children if first <= min(top + dl, child_genus) else ():
-                if first < low.get((child_genus, child), child_genus + 1):
+                if first < (lowest := low.get((child_genus, child), child_genus + 1)):
                     low[child_genus, child] = first
-                    heappush(heap, (-child_genus, -len(child), child_genus, child))
+                    if lowest > child_genus:  # first reached: queued this once
+                        heappush(heap, (-child_genus, -len(child), child_genus, child))
     for genus, weights, lo in reversed(order):  # children first
         values, numerators, denominator = _row(genus, weights, lo, genus, rows, cache)
         rows[genus, weights] = lo, numerators, denominator
@@ -408,7 +407,6 @@ def _hit(data: bytes, keys: Collection[CycleKey]) -> dict | None:
     Each key's line is found by its canonical text and checked by ``_entry``.
     None if a key's text is absent, occurs twice or heads a line breaking a rule.
     """
-    checked: dict[bytes, tuple[int, ...]] = {}
     memo = {}
     for genus, lam, weights in keys:
         try:
@@ -417,7 +415,7 @@ def _hit(data: bytes, keys: Collection[CycleKey]) -> dict | None:
             end = data.find(b"\n", at + 1)
             if at < 0 or end < 0 or data.find(text, end) >= 0:
                 return None
-            key, value = _entry(data[at + 1 : end], checked)
+            key, value = _entry(data[at + 1 : end], {})  # keys differ in weights
         except ValueError:  # a broken rule, or a key past str()'s digit limit
             return None
         memo[CycleKey(*key)] = Fraction(*value)

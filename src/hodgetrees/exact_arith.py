@@ -77,10 +77,7 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a canonical rational: {text!r}")
     p_text, slash, q_text = text.partition("/")
-    try:
-        p, q = int(p_text), int(q_text or 1)
-    except ValueError:  # int() of text has a digit limit; its pieces do not
-        p, q = _long_int(p_text), _long_int(q_text or "1")
+    p, q = _long_int(p_text), _long_int(q_text or "1")
     if slash and (q == 1 or math.gcd(p, q) != 1):
         raise ValueError(f"rational not in lowest terms: {text!r}")
     return Fraction(p, q)

@@ -111,6 +111,29 @@ class TestSingleValues:
             code, out, _ = run(capsys, *command.split())
             assert code == 0 and out == expected, command
 
+    def test_decimal_limit_refused_before_any_value(self, capsys, monkeypatch):
+        import hodgetrees.cli as cli
+
+        asked = []
+        for name in "bernoulli", "hodge_integral", "cycle_value", "tree_sum":
+            monkeypatch.setattr(cli, name, lambda *a: asked.append(a) or Fraction(3))
+        limit = cli.DECIMAL_LIMIT
+        assert 10**6 <= limit <= 10**8
+        commands = [
+            "bernoulli --m 4",
+            "integral --g 2 --lambda 1",
+            "w --g 2 --lambda 1 --weights 1,1",
+            "trees sum --g 2 --n 3",
+        ]
+        for command in commands:
+            argv = [*command.split(), "--decimal"]
+            assert run(capsys, *argv, str(limit)) == (0, "~3\n", ""), command
+            for digits in limit + 1, 10**10:
+                code, out, err = run(capsys, *argv, str(digits))
+                assert (code, out) == (2, ""), command
+                assert err == f"error: --decimal above the digit limit of {limit}\n"
+        assert len(asked) == len(commands)
+
 
 class TestTrees:
     def test_sum(self, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import math
 import random
 import re
@@ -198,6 +199,58 @@ class TestKnownValues:
                     b = total - a
                     expected = Fraction(a * a + b * b - 1, 24)
                     assert value(1, lam, (a, b), cache) == expected, (lam, a, b)
+
+
+def sinh_product(genus, weights):
+    """The z^(2g) coefficient of prod_i S(a_i z) / S(z), S(z) = sinh(z/2)/(z/2).
+
+    Series in u = z^2 with ``Fraction`` coefficients up to u^genus: the u^j
+    coefficient of S(a z) is a^(2j) / (4^j (2j + 1)!), and S's constant term 1
+    makes the division a plain back substitution.
+    """
+    s = [Fraction(1, 4**j * math.factorial(2 * j + 1)) for j in range(genus + 1)]
+    product = [Fraction(1)] + [Fraction(0)] * genus
+    for a in weights:
+        factor = [c * a ** (2 * j) for j, c in enumerate(s)]
+        product = [
+            sum(product[i] * factor[m - i] for i in range(m + 1))
+            for m in range(genus + 1)
+        ]
+    quotient = []
+    for m in range(genus + 1):
+        below = sum(s[j] * quotient[m - j] for j in range(1, m + 1))
+        quotient.append(product[m] - below)
+    return quotient[genus]
+
+
+class TestLambdaZeroProduct:
+    """At index 0 a cycle value is ``sinh_product``: the one-part double Hurwitz
+    formula of Goulden, Jackson and Vakil (Adv. Math. 2005)."""
+
+    def test_small_totals(self):
+        # Every genus up to 7 and partition of a total up to 9 that can expand.
+        keys = [
+            (genus, weights)
+            for genus in range(8)
+            for total in range(1, 10)
+            for weights in partitions(total)
+            if 2 * genus + len(weights) - 2 > 0
+        ]
+        assert len(keys) == 739
+        cache = {}
+        for genus, weights in keys:
+            expected = sinh_product(genus, weights)
+            assert value(genus, 0, weights, cache) == expected, (genus, weights)
+
+    def test_genus_two_weight_pairs_of_total_forty_and_forty_one(self):
+        # Joins that reach a weight of 40 and more, at genus 2.
+        cache = {}
+        for total in 40, 41:
+            for a in range(1, 21):
+                weights = (a, total - a)
+                expected = sinh_product(2, weights)
+                assert value(2, 0, weights, cache) == expected, weights
+        assert sinh_product(2, (1, 39)) == Fraction(771147, 640)
 
 
 class TestRecursionTerms:
@@ -446,6 +499,29 @@ class TestAgainstReferenceEvaluation:
         assert_same_memos(fast, reference)
         if not keep:
             assert_same_memos(fast, tail)
+
+    @pytest.mark.parametrize(
+        "genus, lam, weights, keep",
+        [(5, 3, (2, 2), 2), (4, 3, (1, 2, 3), 3), (4, 1, (6, 6, 6, 6), 2)],
+    )
+    def test_each_row_is_queued_once(self, genus, lam, weights, keep, monkeypatch):
+        # From these partial memos a later parent needs a lower index of a row
+        # already queued: its lowest index falls in place, and it is not queued
+        # again. Taken in decreasing (genus, n), the row still comes after
+        # every row that reaches it.
+        k = CycleKey(genus, lam, weights)
+        start = dict(sorted(reference_tail(k).items())[::keep])
+        queued = []
+
+        def push(heap, item):
+            queued.append(item[2:])
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(cutjoin, "heappush", push)
+        fast, reference = dict(start), dict(start)
+        assert cycle_value(k, fast) == reference_rows(k, reference)
+        assert_same_memos(fast, reference)
+        assert queued and len(set(queued)) == len(queued)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -70,6 +71,29 @@ class TestRationalText:
         text = format_rational(x)
         assert text == f"-3/{Decimal(7**6000)}"
         assert parse_rational(text) == x
+
+    @pytest.mark.parametrize("digits", [639, 640, 641, 4300])
+    def test_integers_either_side_of_the_piece_length(self, digits):
+        # Both integers are read in pieces of at most 640 digits: whole up to
+        # 640, in halves above. Consecutive integers are coprime.
+        p = random.Random(digits).randrange(10 ** (digits - 1), 10**digits - 1)
+        p_text, q_text = str(p), str(p + 1)
+        assert len(p_text) == len(q_text) == digits
+        for sign in "", "-":
+            for text in sign + p_text, f"{sign}{p_text}/{q_text}", f"{sign}1/{p_text}":
+                numerator, _, denominator = text.partition("/")
+                expected = Fraction(int(numerator), int(denominator or 1))
+                assert parse_rational(text) == expected
+                assert outcome(parse_rational, text) == outcome(reference_parse, text)
+            for text, message in [
+                (f"{sign}{p_text}/{p_text}", "rational not in lowest terms"),
+                (f"{sign}{p_text}/1", "rational not in lowest terms"),
+                (f"{sign}0{p_text}", "not a canonical rational"),
+                (f"{sign}{p_text}/-{q_text}", "not a canonical rational"),
+            ]:
+                refused = "error", f"{message}: {text!r}"
+                assert outcome(parse_rational, text) == refused
+                assert outcome(reference_parse, text) == refused
 
     @pytest.mark.parametrize(
         "value, text",
