@@ -11,25 +11,30 @@ own output and return the exit code. ``integral`` and ``w`` take
 ``--cache FILE``, a saved memo. A hit (FILE's header matches its body and
 it holds every key the query reads) reads, checks and builds only those
 entries, read-only, and writes nothing. A miss, or a file without a header,
-checks every line and is written back with a matching header. A header
-that does not match its body is refused; ``verify --check memo --cache
-FILE`` names a wrong entry. A single check refuses a ``--max-g`` or
-``--max-n`` it does not take. A command imports only the modules it runs:
-the tree commands load no recursion code, the value commands and ``table``
-no tree code, and only the handlers that use ``verify`` or ``json`` import
-them.
+checks every line but builds only the entries of the keys' weight totals,
+the only ones evaluation can read; it writes the old lines back as they
+are, with the added entries formatted among them, under a matching header.
+A header that does not match its body is refused; ``verify --check memo
+--cache FILE`` names a wrong entry. A FILE that exists but is not a regular
+file, such as a FIFO or a directory, is refused before any work. A single
+check refuses a ``--max-g`` or ``--max-n`` it does not take. A command
+imports only the modules it runs: the tree commands load no recursion code,
+the value commands and ``table`` no tree code, and only the handlers that
+use ``verify`` or ``json`` import them.
 Exit codes: 0 on success or all checks passing, 1 on a verification
 failure, 2 on a usage error (refused input, such as ``trees enumerate`` past
 ``ENUMERATION_LIMIT`` trees, a ``--max-g`` of ``table`` or ``verify --check
 oracle``/``independence``/``all`` past ``TABLE_GENUS_LIMIT``, ``bernoulli
---m`` past ``BERNOULLI_LIMIT``, ``--decimal`` past ``DECIMAL_LIMIT``, or a
-file that cannot be read or written), 3 on an internal error.
+--m`` past ``BERNOULLI_LIMIT``, ``--decimal`` past ``DECIMAL_LIMIT``, a
+``--cache`` that is not a regular file, or a file that cannot be read or
+written), 3 on an internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from collections import Counter
 from decimal import Decimal, localcontext
@@ -43,12 +48,14 @@ __all__ = ["main"]
 
 # Pipeline functions, bound here on first use (PEP 562) with the rest of their
 # module's names: tree commands never import cutjoin or hodge, and integral, w
-# and table never import trees. bench/tracer.py wraps the last three tree
-# names, uncalled here.
+# and table never import trees. bench/tracer.py wraps save_cache and the last
+# three tree names, uncalled here.
 _TREE_NAMES = ("count_trees", "tree_sum", "weight_scale", "weighted_encodings")
 _TREE_NAMES += ("canonical_encoding", "enumerate_trees", "tree_weight")
+_MEMO_NAMES = ("canonical_key", "cycle_value", "load_cache", "save_cache")
+_MEMO_NAMES += ("_read_miss", "_write_miss")
 _LAZY_NAMES = {
-    "cutjoin": ("canonical_key", "cycle_value", "load_cache", "save_cache"),
+    "cutjoin": _MEMO_NAMES,
     "hodge": ("hodge_integral", "hodge_table", "integral_keys"),
     "trees": _TREE_NAMES,
 }
@@ -141,15 +148,34 @@ def _value_text(value: Fraction, decimal_digits: int | None) -> str:
     return f"~{approx}"
 
 
+def _memo_exists(path: str) -> bool:
+    """Whether the ``--cache`` file exists; one that is not a regular file is refused.
+
+    Opening a FIFO would block, and a save would replace a device node.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return False
+    if not stat.S_ISREG(mode):
+        raise ValueError(f"--cache {path!r} is not a regular file")
+    return True
+
+
 def _with_cache(args, keys, compute) -> Fraction:
-    """``compute`` of the ``--cache`` memo, saved unless it is a read-only hit."""
+    """``compute`` of the ``--cache`` memo, written back unless it is a verified hit."""
     if args.cache == "":
         raise ValueError("--cache needs a file name, not ''")
-    exists = bool(args.cache) and os.path.exists(args.cache)
-    cache = __getattr__("load_cache")(args.cache, keys) if exists else {}
-    value = compute(cache)
-    if args.cache and type(cache) is dict:
-        __getattr__("save_cache")(cache, args.cache)
+    if args.cache is None:
+        return compute({})
+    exists = _memo_exists(args.cache)
+    read_miss = __getattr__("_read_miss")  # binds cutjoin's names
+    miss = read_miss(args.cache, keys) if exists else ({}, {})
+    if miss is None:  # read-only: a query that would add to it fails, unwritten
+        return compute(load_cache(args.cache, keys))
+    lines, memo = miss
+    value = compute(memo)
+    _write_miss(args.cache, lines, memo)
     return value
 
 
@@ -174,6 +200,7 @@ def _run_verify(args) -> int:
     if args.check == "memo":
         if args.cache is None or args.max_g is not None or args.max_n is not None:
             raise ValueError("--check memo takes --cache FILE and no range")
+        _memo_exists(args.cache)  # a missing one is load_cache's error
         reports = [verify.check_memo(args.cache)]
     elif args.cache is not None:
         raise ValueError("--cache goes only with --check memo")

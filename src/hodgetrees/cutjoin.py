@@ -37,6 +37,13 @@ others children first, each as one integer vector over one denominator, and
 adds the states the memo lacks; a row of one index reads its children from the
 memo, which holds them by then, as ``step_value`` does. A held state must equal
 its value, so threads may share a memo; one per thread is the intended use.
+
+A memo file holds one checked line per state (``save_cache``, ``load_cache``).
+A command's query of some keys reads a verified hit through ``load_cache``
+alone. Any other file goes through ``_read_miss``, which checks every line
+but builds values only for the keys' weight totals, as no rewrite changes
+the total, and ``_write_miss``, which writes the checked lines back as they
+are and formats only the states the query added.
 """
 
 from __future__ import annotations
@@ -320,9 +327,17 @@ def save_cache(cache: dict[CycleKey, Fraction], path: str | os.PathLike) -> None
     that then replaces it in one step, so a save that fails part way leaves
     any old file whole.
     """
+    _write(path, "\n".join(_lines(sorted(cache), cache)).encode("ascii"))
+
+
+def _lines(keys: Iterable[CycleKey], cache: Mapping) -> list[str]:
+    """The memo line, newline excluded, of each of ``keys`` with its value in ``cache``.
+
+    A key ``load_cache`` would refuse raises ``ValueError`` naming it.
+    """
     texts: dict[tuple[int, ...], str] = {}  # weights -> text, each checked once
     lines = []
-    for key in sorted(cache):
+    for key in keys:
         genus, lam, weights = key
         text = texts.get(weights)
         try:
@@ -331,8 +346,13 @@ def save_cache(cache: dict[CycleKey, Fraction], path: str | os.PathLike) -> None
             raise ValueError(f"memo entry {key} would not load: {exc}") from None
         if text is None:
             text = texts[weights] = ",".join(map(str, weights))
-        lines.append(f"{genus}\t{lam}\t{text}\t{format_rational(cache[key])}\n")
-    body = "".join(lines).encode("ascii")
+        lines.append(f"{genus}\t{lam}\t{text}\t{format_rational(cache[key])}")
+    return lines
+
+
+def _write(path: str | os.PathLike, text: bytes) -> None:
+    """Write ``text``, memo lines joined by newlines, as ``save_cache`` does."""
+    body = text + b"\n" if text else b""
     temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(temporary, "wb") as handle:
@@ -406,20 +426,70 @@ def _hit(data: bytes, keys: Collection[CycleKey]) -> dict | None:
 
     Each key's line is found by its canonical text and checked by ``_entry``.
     None if a key's text is absent, occurs twice or heads a line breaking a rule.
+    The text starts with its genus and index fields, so it is sought only from
+    the first to the last line that they head.
     """
     memo = {}
+    heads: dict[bytes, tuple[int, int]] = {}  # genus and index -> first, last at
     for genus, lam, weights in keys:
         try:
-            text = f"\n{genus}\t{lam}\t{','.join(map(str, weights))}\t".encode()
-            at = data.find(text)
+            head = f"\n{genus}\t{lam}\t".encode()
+            if head not in heads:
+                heads[head] = data.find(head), data.rfind(head)
+            first, last = heads[head]
+            text = head + ",".join(map(str, weights)).encode() + b"\t"
+            stop = last + len(text)  # where a match at the last head ends
+            at = data.find(text, first, stop) if first >= 0 else -1
             end = data.find(b"\n", at + 1)
-            if at < 0 or end < 0 or data.find(text, end) >= 0:
+            if at < 0 or end < 0 or data.find(text, end, stop) >= 0:
                 return None
             key, value = _entry(data[at + 1 : end], {})  # keys differ in weights
         except ValueError:  # a broken rule, or a key past str()'s digit limit
             return None
         memo[CycleKey(*key)] = Fraction(*value)
     return memo
+
+
+def _read(path: str | os.PathLike) -> tuple[bytes, bool]:
+    """A memo file's bytes, and whether its header matches its body."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    start = data.find(b"\n") + 1  # the body's first byte, after the header line
+    return data, data[:start] == _header(data[start:])
+
+
+def _scan(
+    data: bytes, path: str | os.PathLike, stale: bool, totals: Collection[int] | None
+) -> tuple[dict, dict]:
+    """Each entry of memo bytes ``data`` by key: its line, and its (p, q) if
+    its weight total is in ``totals`` (any, if None).
+
+    Every line is checked by the rules ``load_cache`` lists, in its order, the
+    header on line 1 last and only if ``stale`` (the caller found that it does
+    not match the body). The first refused line raises ``ValueError`` with
+    ``path``, its line number, which counts the header, and the rule.
+    """
+    lines: dict[tuple, bytes] = {}  # (genus, lam, weights) -> its checked line
+    pairs: dict[tuple, tuple[int, int]] = {}  # (genus, lam, weights) -> (p, q)
+    checked: dict[bytes, tuple[int, ...]] = {}  # weights text -> sorted weights
+    split = data.splitlines()
+    headed = bool(split) and _HEADER.fullmatch(split[0])
+    if headed:
+        split[0] = b""  # skipped as blank, so line numbers still count it
+    for lineno, line in enumerate(split, start=1):
+        if not line:
+            continue
+        try:
+            key, value = _entry(line, checked)
+            if lines.setdefault(key, line) != line:  # each entry has one text
+                raise ValueError("conflicting duplicate entry")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if totals is None or sum(key[2]) in totals:
+            pairs[key] = value
+    if stale and headed:
+        raise ValueError(f"{path}:1: header does not match the body")
+    return lines, pairs
 
 
 def load_cache(
@@ -440,29 +510,39 @@ def load_cache(
     loads, so entries it never writes (vanishing or undefined ones) are
     refused.
     """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    start = data.find(b"\n") + 1  # the body's first byte, after the header line
-    verified = keys is not None and data[:start] == _header(data[start:])
-    if verified:
+    data, verified = _read(path)
+    if keys is not None and verified:
         memo = _hit(data, keys)
         if memo is not None:
             return MappingProxyType(memo)
-    pairs: dict[tuple, tuple[int, int]] = {}  # (genus, lam, weights) -> (p, q)
-    checked: dict[bytes, tuple[int, ...]] = {}  # weights text -> sorted weights
-    lines = data.splitlines()
-    headed = bool(lines) and _HEADER.fullmatch(lines[0])
-    if headed:
-        lines[0] = b""  # skipped as blank, so line numbers still count it
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        try:
-            key, value = _entry(line, checked)
-            if pairs.setdefault(key, value) != value:
-                raise ValueError("conflicting duplicate entry")
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if keys is not None and headed and not verified:  # a stale header
-        raise ValueError(f"{path}:1: header does not match the body")
+    _, pairs = _scan(data, path, keys is not None and not verified, None)
     return {CycleKey(*key): Fraction(*value) for key, value in pairs.items()}
+
+
+def _read_miss(
+    path: str | os.PathLike, keys: Collection[CycleKey]
+) -> tuple[dict, dict] | None:
+    """A memo file for a query of ``keys``, unless it is a verified hit (None).
+
+    Else its lines by key, each checked as ``load_cache(path, keys)`` checks
+    it, and a memo of the entries whose weight total is one of the keys':
+    evaluation keeps the weight total, so those are all the query can read.
+    """
+    data, verified = _read(path)
+    if verified and _hit(data, keys) is not None:
+        return None  # load_cache(path, keys) reads it
+    totals = {sum(weights) for _, _, weights in keys}
+    lines, pairs = _scan(data, path, not verified, totals)
+    return lines, {CycleKey(*key): Fraction(*value) for key, value in pairs.items()}
+
+
+def _write_miss(path: str | os.PathLike, lines: dict, memo: Mapping) -> None:
+    """Write ``lines`` and the entries of ``memo`` they lack, sorted by key.
+
+    A line that passed ``_scan`` is the text ``save_cache`` writes for its
+    entry, so the file is ``save_cache``'s, and only the added entries are
+    formatted.
+    """
+    added = [key for key in memo if key not in lines]
+    lines.update(zip(added, [line.encode("ascii") for line in _lines(added, memo)]))
+    _write(path, b"\n".join([lines[key] for key in sorted(lines)]))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hodgetrees
+import hodgetrees.cutjoin as cutjoin
 from hodgetrees.cli import _BLOCK_ROWS, _integer, main
 from hodgetrees.cutjoin import (
     canonical_key,
@@ -791,14 +793,30 @@ class TestKeyedLoad:
         assert loaded == [{key: load_cache(path)[key] for key in reads}]
         assert path.read_bytes() == before
 
-    def test_miss_loads_every_entry(self, capsys, tmp_path, monkeypatch):
+    def test_a_miss_builds_only_the_entries_of_its_weight_total(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import hodgetrees.cli as cli
+        from hodgetrees.cutjoin import _read_miss
+
         path = self.memo(capsys, tmp_path)
         full = load_cache(path)
         loaded = self.record_loads(monkeypatch)
-        argv = ("integral", "--g", "3", "--lambda", "1", "--weights", "9")
+        built = []
+
+        def recorded(*args):
+            miss = _read_miss(*args)
+            built.append(dict(miss[1]))  # as read, before the query adds to it
+            return miss
+
+        monkeypatch.setattr(cli, "_read_miss", recorded)
+        argv = ("w", "--g", "4", "--lambda", "1", "--weights", "1,3")
         code, _, _ = run(capsys, *argv, "--cache", str(path))
-        assert code == 0
-        assert loaded == [full] and len(load_cache(path)) > len(full)
+        assert code == 0 and loaded == []
+        total_4 = {key: full[key] for key in full if sum(key.weights) == 4}
+        assert built == [total_4] and 0 < len(total_4) < len(full)
+        after = load_cache(path)
+        assert {key: after[key] for key in full} == full and len(after) > len(full)
 
     @pytest.mark.parametrize("argv", HITS)
     @pytest.mark.parametrize(
@@ -849,8 +867,8 @@ class TestKeyedLoad:
         assert run(capsys, *argv) == expected
         assert path.read_bytes() == saved  # save_cache's own bytes, header and all
         assert run(capsys, *argv) == expected
-        full = load_cache(path)
-        assert loaded == [full, {key: full[key] for key in integral_keys(8, 3)}]
+        full = load_cache(path)  # the first command was a miss, which loads none
+        assert loaded == [{key: full[key] for key in integral_keys(8, 3)}]
         assert path.read_bytes() == saved
 
     def test_a_vanishing_query_writes_the_header(self, capsys, tmp_path):
@@ -957,6 +975,145 @@ class TestKeyedLoad:
         assert err == f"error: internal: {refusal}\n"
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["memo.tsv"]
+
+
+def memo_variant(saved, edit):
+    """The bytes of memo file ``saved``, header-less, shuffled or with a duplicate."""
+    header, body = saved.split(b"\n", 1)
+    lines = body.splitlines(keepends=True)
+    if edit == "header-less":
+        return body
+    if edit == "shuffled":
+        random.Random(5).shuffle(lines)
+        return b"".join(lines)
+    if edit == "duplicate":  # identical, under a header that matches the body
+        lines.insert(len(lines) // 2, lines[10])
+        body = b"".join(lines)
+        return cutjoin._header(body) + body
+    return saved
+
+
+class TestMissPath:
+    """A miss writes the bytes ``save_cache`` writes for the whole memo it adds to."""
+
+    @staticmethod
+    def reference(path, evaluate):
+        """Exit code, stdout and file bytes of the whole load, ``evaluate`` and save."""
+        memo = dict(load_cache(path))
+        value = evaluate(memo)
+        saved = path.with_name("reference.tsv")
+        save_cache(memo, saved)
+        return 0, f"{format_rational(value)}\n", saved.read_bytes()
+
+    @staticmethod
+    def outcome(capsys, path, argv):
+        code, out, _ = run(capsys, *argv, "--cache", str(path))
+        return code, out, path.read_bytes()
+
+    @pytest.mark.parametrize("aux", ["9", "10", "11", "12", "4,6"])
+    @pytest.mark.parametrize("genus, lam", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+    def test_the_benchmark_misses(
+        self, capsys, tmp_path, table_8_memo, genus, lam, aux
+    ):
+        path = tmp_path / "memo.tsv"
+        path.write_text(table_8_memo, encoding="ascii")
+        weights = tuple(map(int, aux.split(",")))
+        expected = self.reference(
+            path, lambda memo: hodge_integral(genus, lam, weights, memo)
+        )
+        argv = ("integral", "--g", str(genus), "--lambda", str(lam), "--weights", aux)
+        assert self.outcome(capsys, path, argv) == expected
+        assert expected[2] != table_8_memo.encode("ascii")  # states were added
+
+    @pytest.mark.parametrize(
+        "argv, evaluate",
+        [
+            (
+                ("w", "--g", "3", "--lambda", "1", "--weights", "2,9"),
+                lambda memo: cycle_value(canonical_key(3, 1, (2, 9)), memo),
+            ),
+            (  # adds more states than the file holds
+                ("integral", "--g", "9", "--lambda", "0"),
+                lambda memo: hodge_integral(9, 0, cache=memo),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("edit", ["header-less", "shuffled", "duplicate", "none"])
+    def test_edited_copies(self, capsys, tmp_path, table_8_memo, argv, evaluate, edit):
+        path = tmp_path / "memo.tsv"
+        path.write_bytes(memo_variant(table_8_memo.encode("ascii"), edit))
+        before = len(load_cache(path))
+        expected = self.reference(path, evaluate)
+        assert self.outcome(capsys, path, argv) == expected
+        assert len(load_cache(path)) > before  # a miss, not a hit
+
+    @staticmethod
+    def count_formats(monkeypatch):
+        """The calls of ``format_rational`` from the memo code, counted as they come."""
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return format_rational(value)
+
+        monkeypatch.setattr(cutjoin, "format_rational", counted)
+        return calls
+
+    def test_a_verified_miss_formats_only_the_states_it_adds(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        memo = {}
+        hodge_table(6, memo)
+        path = tmp_path / "memo.tsv"
+        save_cache(memo, path)
+        calls = self.count_formats(monkeypatch)
+        argv = ("integral", "--g", "2", "--lambda", "1", "--weights", "9")
+        assert run(capsys, *argv, "--cache", str(path))[0] == 0
+        added = load_cache(path).keys() - memo.keys()
+        assert len(calls) == len(added) > 0
+
+    def test_a_one_state_miss_on_long_values_formats_one(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "memo.tsv"
+        argv = ("w", "--g", "1300", "--lambda", "1300", "--weights", "2")
+        assert run(capsys, *argv, "--cache", str(path))[0] == 0
+        assert len(load_cache(path)) == 1300
+        calls = self.count_formats(monkeypatch)
+        argv = ("w", "--g", "1301", "--lambda", "1301", "--weights", "2")
+        assert run(capsys, *argv, "--cache", str(path))[0] == 0
+        assert len(calls) == 1 and len(load_cache(path)) == 1301
+
+
+class TestCacheMustBeARegularFile:
+    """A FIFO would block the load, and a save would replace a device node."""
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("integral", "--g", "2", "--lambda", "1"),
+            ("w", "--g", "2", "--lambda", "1", "--weights", "1,1,1"),
+            ("verify", "--check", "memo"),
+        ],
+    )
+    def test_refused_before_any_work(self, tmp_path, kind, argv):
+        path = tmp_path / "memo"
+        if kind == "fifo":
+            os.mkfifo(path)
+        else:
+            path.mkdir()
+        result = subprocess.run(
+            [sys.executable, "-m", "hodgetrees", *argv, "--cache", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"error: --cache {str(path)!r} is not a regular file\n"
+        assert os.listdir(tmp_path) == ["memo"]
+        assert kind == "fifo" or os.listdir(path) == []
 
 
 class TestImportsStayLazy:

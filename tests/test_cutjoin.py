@@ -1251,3 +1251,28 @@ def test_no_seeded_edit_of_a_headered_g4_memo_prints_a_wrong_value(capsys, tmp_p
                 assert path.read_bytes() == mutant
             codes[code] += 1
     assert sorted(codes) == [0, 2]
+
+
+@pytest.mark.parametrize("bad", REFUSED_LINES)
+def test_a_miss_checks_the_lines_of_weight_totals_it_never_reads(
+    capsys, tmp_path, bad
+):
+    # The query reads weight totals 20 to 22 alone, and no refused line has
+    # one of them. Under a header that matches the body, the miss still
+    # names the line as the whole-file load does, and writes nothing.
+    from hodgetrees.cli import main
+
+    memo = {}
+    hodge_table(3, memo)
+    path = tmp_path / "memo.tsv"
+    save_cache(memo, path)
+    lines = path.read_bytes().splitlines()[1:]
+    body = b"".join(line + b"\n" for line in [*lines[:40], bad, *lines[40:]])
+    path.write_bytes(cutjoin._header(body) + body)
+    with pytest.raises(ValueError) as refused:
+        load_cache(path)
+    before = path.read_bytes()
+    argv = ["integral", "--g", "2", "--lambda", "1", "--weights", "20"]
+    assert main([*argv, "--cache", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {refused.value}\n")
+    assert path.read_bytes() == before
