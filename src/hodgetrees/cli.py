@@ -81,7 +81,7 @@ def __getattr__(name: str):
 ENUMERATION_LIMIT = 2_000_000
 
 # table keeps every recursion state in its memo, about 0.3 KiB each: --max-g 20,
-# 809,634 states, peaked at 250 MiB in 13.5 s (Python 3.11.7, 2 vCPU). The count
+# 809,634 states, peaked at 251 MiB in 9-12 s (Python 3.11.7, 2 vCPU). The count
 # doubles about every two genera, so this refuses 22: some 1.6 million, 0.5 GiB.
 TABLE_GENUS_LIMIT = 20
 

@@ -33,10 +33,10 @@ Two loops, with no recursion and so no depth limit. The first takes rows in
 decreasing (genus, number of weights), which every rewrite lowers, so each is
 queued once and taken after every row that reaches it, with the lowest index
 they need; it reads each row the memo holds whole. The second evaluates the
-others children first, each as one integer vector over one denominator, and
-adds the states the memo lacks; a row of one index reads its children from the
-memo, which holds them by then, as ``step_value`` does. A held state must equal
-its value, so threads may share a memo; one per thread is the intended use.
+others children first, each index one sum across all child columns over the
+row's one denominator, and adds the states the memo lacks; a row of one index
+reads its children from the memo, as ``step_value`` does. A held state must
+equal its value, so threads may share a memo; one per thread is the intended use.
 
 A memo file holds one checked line per state (``save_cache``, ``load_cache``).
 A command's query of some keys reads a verified hit through ``load_cache``
@@ -230,9 +230,10 @@ def _row(
 ) -> tuple:
     """A row's values at indices low..high: ``Fraction``s, numerators, denominator.
 
-    Each transition adds its coefficient times its child row's slice in ``rows``
-    over the lcm of the child denominators, a seed its closed form; one gcd
-    reduces the sum. One index with no seed reads its children from ``memo``.
+    Each child's slice of its row in ``rows``, padded with zeros to low..high, is
+    one column, a seed a unit column at the genus. One pass over the indices sums
+    each across all columns, times their coefficients over the lcm of the
+    denominators; one gcd reduces the sums. One index with no seed reads ``memo``.
     """
     top = min(high, 2 * genus + len(weights) - 3)
     scale = 12 * sum(weights) * (2 * genus + len(weights) - 1)
@@ -247,22 +248,21 @@ def _row(
         numerator = sum([n * (common // d) if d != common else n for n, d in pairs])
         value = Fraction(numerator, common * scale)
         return [value], [value.numerator], value.denominator
-    spans = []  # (first index, its offset in the row, end, coefficients, rows)
-    if top < high:  # the seed at index genus, as a term over its own denominator
+    terms, columns = [], []  # per child and seed: (coefficient, denominator), column
+    if top < high:  # the seed: a unit column at index genus over its own denominator
         p, q = (weights[0] * weights[0] - 1, 24) if genus else (1, 1)
-        spans.append((0, high - low, 1, (p * scale,), [(0, [1], q)]))
+        terms.append((p * scale, q))
+        columns.append([0] * (high - low) + [1])
     for dg, dl, children, coefficients in _transitions(weights) if low <= top else ():
         first, end = max(low + dl, 0), min(top + dl, genus + dg) + 1
-        if first < end:
-            parts = [rows[genus + dg, child] for child in children]
-            spans.append((first, first - dl - low, end, coefficients, parts))
-    common = math.lcm(*[d for span in spans for _, _, d in span[4]])
-    sums = [0] * (high - low + 1)
-    for first, at, end, coefficients, parts in spans:
-        factors = list(map(mul, coefficients, [common // d for _, _, d in parts]))
-        cols = zip(*[numerators[first - s : end - s] for s, numerators, _ in parts])
-        into = slice(at, at + end - first)  # the row indices of those columns
-        sums[into] = [t + sum(map(mul, factors, c)) for t, c in zip(sums[into], cols)]
+        before, after = [0] * (first - dl - low), [0] * (high + dl + 1 - end)
+        for child, c in zip(children, coefficients) if first < end else ():
+            s, numerators, d = rows[genus + dg, child]
+            terms.append((c, d))
+            columns.append(before + numerators[first - s : end - s] + after)
+    common = math.lcm(*[d for _, d in terms])
+    factors = [c * (common // d) for c, d in terms]
+    sums = [sum(map(mul, factors, c)) for c in zip(*columns)] or [0] * (high - low + 1)
     divisor = math.gcd(scale * common, *sums)
     sums, scale = [s // divisor for s in sums], scale * common // divisor
     return [Fraction(s, scale) for s in sums], sums, scale

@@ -556,6 +556,44 @@ class TestAgainstReferenceEvaluation:
         assert cycle_value((1, 0, (1, 1)), memo) == expected
 
     @pytest.mark.parametrize(
+        "genus, lam, weights",
+        [
+            (3, 1, (20, 20)),  # dozens of split children, three indices
+            (2, 1, (200,)),  # a hundred split children, two indices
+            (4, 2, (12, 12)),
+            # Row (2, (5,)): handles from index 1, splits from 0. Row (1, (5,)):
+            # splits at index 0 alone, the seed at 1.
+            (3, 0, (5,)),
+        ],
+    )
+    def test_rows_of_many_children_and_of_offset_families(self, genus, lam, weights):
+        # Each child is a column padded to its row's indices, the seed a unit
+        # column at the genus: a column one index off changes some value.
+        k = CycleKey(genus, lam, weights)
+        tail = {}
+        expected = reference_rows(k, tail)
+        for start in ({}, dict(sorted(tail.items())[::3])):
+            fast, reference = dict(start), dict(start)
+            assert cycle_value(k, fast) == expected
+            assert reference_rows(k, reference) == expected
+            assert_same_memos(fast, reference)
+            assert fast.items() <= tail.items()
+
+    @pytest.mark.parametrize("genus", [2, 3, 4, 5])
+    def test_a_row_without_children_or_seed_is_exact_zeros(self, genus):
+        # (g, i, (1,)) at g >= 2 has no join, no split, a zero handle coefficient
+        # and no seed: no column at all, and its whole λ-tail is 0.
+        for lam in range(genus + 1):
+            k = CycleKey(genus, lam, (1,))
+            zeros = {CycleKey(genus, i, (1,)): Fraction(0) for i in range(lam, genus + 1)}
+            assert reference_tail(k) == zeros
+            for start in ({}, {CycleKey(genus, genus, (1,)): Fraction(0)}):
+                fast = dict(start)
+                assert cycle_value(k, fast) == 0
+                assert fast == {**start, **zeros}
+                assert all(type(v) is Fraction for v in fast.values())
+
+    @pytest.mark.parametrize(
         "layer", [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (4, 4)]
     )
     def test_transitions_on_a_layer(self, layer):
